@@ -8,11 +8,15 @@ is the only namespace prefix a function may carry.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Union
+
+import numpy as np
 
 UNARY_OPS = frozenset({
     "neg", "sqrt", "abs", "sin", "cos", "tan", "asin", "acos", "atan",
@@ -145,6 +149,9 @@ EvalOutcome = Union[Value, DomainError]
 _NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 
+# Bounds both the parser's recursion and the height of the tree it
+# returns, so every recursive tree walk stays far below the interpreter's
+# recursion limit.
 _MAX_DEPTH = 200
 
 
@@ -338,7 +345,29 @@ def parse(text: str) -> Expression:
     node = parser.expression()
     if parser.peek().kind != "END":
         raise parser.fail(("operator", "end of input"))
+    if _taller_than(node, _MAX_DEPTH):
+        # A long flat chain such as `a+b+...` is built by a loop, not by
+        # recursion, so only the finished tree shows its height.
+        raise ExpressionSyntaxError(
+            f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}", 0, ()
+        )
     return node
+
+
+def _taller_than(expr: Expression, limit: int) -> bool:
+    # Level by level, without recursion, so any tree can be measured.
+    level = [expr]
+    for _ in range(limit):
+        children: list[Expression] = []
+        for node in level:
+            if isinstance(node, Unary):
+                children.append(node.operand)
+            elif isinstance(node, Binary):
+                children += (node.left, node.right)
+        if not children:
+            return False
+        level = children
+    return True
 
 
 # --------------------------------------------------------------------------
@@ -739,6 +768,143 @@ def sample_assignments(
     return [{name: domains[name].sample(rng) for name in names} for _ in range(n)]
 
 
+def sample_columns(
+    domains: Mapping[str, VariableDomain], n: int, seed: int
+) -> dict[str, np.ndarray]:
+    """The points of sample_assignments(domains, n, seed), bit for bit, as
+    one read-only array per variable.  Cached per (domains, n, seed)."""
+    key = tuple(sorted(domains.items()))
+    return dict(zip(sorted(domains), _sampled(key, n, seed)))
+
+
+@functools.lru_cache(maxsize=64)
+def _sampled(key: tuple, n: int, seed: int) -> tuple[np.ndarray, ...]:
+    # The same random() draws in the same order as sample_assignments,
+    # mapped through the same arithmetic as random.uniform and sample().
+    draw = random.Random(seed).random
+    draws = np.array([draw() for _ in range(n * len(key))]).reshape(n, len(key))
+    columns = []
+    for j, (_, domain) in enumerate(key):
+        if domain.log_scaled():
+            lo, hi = math.log(domain.lower), math.log(domain.upper)
+            column = _map_math(math.exp, lo + (hi - lo) * draws[:, j])
+        else:
+            column = domain.lower + (domain.upper - domain.lower) * draws[:, j]
+        # VariableDomain.contains over the column; NaN and inf fail both sides.
+        above = column >= domain.lower if domain.lower_closed else column > domain.lower
+        below = column <= domain.upper if domain.upper_closed else column < domain.upper
+        if not np.all(above & below):
+            # A rejected draw shifts every later draw; replay it point by point.
+            points = sample_assignments(dict(key), n, seed)
+            columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
+            break
+        columns.append(column)
+    for column in columns:
+        column.flags.writeable = False
+    return tuple(columns)
+
+
+# Stands in for points that are already invalid before a math function is
+# mapped over a column: inside the domain of every unary op, and a base
+# and exponent that `**` accepts.
+_SAFE_INPUT = 0.5
+
+
+def _or_inf(fn, *args: float) -> float:
+    try:
+        return fn(*args)
+    except (OverflowError, ValueError):
+        return math.inf  # the HUGE check marks the point invalid
+
+
+def _map_math(fn, *columns: np.ndarray) -> np.ndarray:
+    args = [column.tolist() for column in columns]
+    try:
+        return np.array(list(map(fn, *args)), dtype=float)
+    except (OverflowError, ValueError):
+        return np.array(list(map(functools.partial(_or_inf, fn), *args)), dtype=float)
+
+
+def evaluate_columns(
+    expr: Expression, columns: Mapping[str, np.ndarray], n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Evaluate at n points given as one array per free variable.
+
+    Returns (values, valid).  valid[i] is False exactly where evaluate()
+    returns a DomainError at point i; elsewhere values[i] equals its
+    value bit for bit.  numpy computes only the correctly rounded ops
+    (neg, abs, sqrt, + - * /); every other function is the scalar path's
+    own, mapped over the column, because numpy's vector kernels differ
+    from libm in the last bits.
+    """
+    with np.errstate(all="ignore"):
+        return _eval_columns(expr, columns, n)
+
+
+def _eval_columns(expr, columns, n):
+    if isinstance(expr, (Constant, NamedConstant)):
+        values = np.full(n, expr.value if isinstance(expr, Constant) else math.pi)
+        valid = np.ones(n, dtype=bool)
+    elif isinstance(expr, Variable):
+        values = columns[expr.name]
+        valid = np.ones(n, dtype=bool)
+    elif isinstance(expr, Unary):
+        x, valid = _eval_columns(expr.operand, columns, n)
+        op = expr.op
+        if op == "neg":
+            values = -x
+        elif op == "abs":
+            values = np.abs(x)
+        elif op == "sqrt":
+            valid = valid & (x >= 0)
+            values = np.sqrt(x)
+        else:
+            if op == "log":
+                valid = valid & (x > 0)
+            elif op in ("asin", "acos"):
+                valid = valid & (x >= -1.0) & (x <= 1.0)
+            values = _map_math(getattr(math, op), np.where(valid, x, _SAFE_INPUT))
+    else:
+        a, valid_a = _eval_columns(expr.left, columns, n)
+        b, valid_b = _eval_columns(expr.right, columns, n)
+        valid = valid_a & valid_b
+        op = expr.op
+        if op == "add":
+            values = a + b
+        elif op == "sub":
+            values = a - b
+        elif op == "mul":
+            values = a * b
+        elif op == "div":
+            valid = valid & (b != 0)
+            values = a / b
+        else:
+            # Same rules as _apply_binary, then Python's own float `**`.
+            valid = valid & ~(((a < 0) & (np.floor(b) != b)) | ((a == 0) & (b < 0)))
+            values = _map_math(
+                operator.pow,
+                np.where(valid, a, _SAFE_INPUT),
+                np.where(valid, b, _SAFE_INPUT),
+            )
+    # _checked: NaN and infinity fail the comparison too.
+    return values, valid & (np.abs(values) <= HUGE)
+
+
+@functools.lru_cache(maxsize=64)
+def _canonical_truth(truth: Expression) -> Expression:
+    return canonicalize(truth)
+
+
+@functools.lru_cache(maxsize=64)
+def _truth_columns(
+    truth: Expression, key: tuple, n: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    values, valid = evaluate_columns(truth, sample_columns(dict(key), n, seed), n)
+    values.flags.writeable = False
+    valid.flags.writeable = False
+    return values, valid
+
+
 @dataclass(frozen=True)
 class EquivConfig:
     rel_tol: float = 1e-6
@@ -768,32 +934,30 @@ def equivalent(
     Structural identity of canonical forms decides immediately; otherwise
     both sides are compared on a seeded sample, skipping points where
     either side has a domain error.  Too few shared-validity points yield
-    a non-equivalent verdict with method "none".
+    a non-equivalent verdict with method "none".  The truth's canonical
+    form, the sample points and the truth's values are cached, so repeated
+    tests against one truth with one seed work on the hypothesis alone.
     """
     cfg = config if config is not None else EquivConfig()
     missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
-    if canonicalize(hypothesis) == canonicalize(truth):
+    if canonicalize(hypothesis) == _canonical_truth(truth):
         return EquivalenceVerdict(True, "canonical", 0, None, "identical canonical form")
-    valid = 0
-    max_rel = 0.0
-    agree = True
-    for point in sample_assignments(domains, cfg.n_points, cfg.seed):
-        h = evaluate(hypothesis, point)
-        t = evaluate(truth, point)
-        if isinstance(h, DomainError) or isinstance(t, DomainError):
-            continue
-        valid += 1
-        scale = max(abs(t.value), cfg.abs_floor)
-        rel = abs(h.value - t.value) / scale
-        if rel > max_rel:
-            max_rel = rel
-        if rel > cfg.rel_tol:
-            agree = False
+    key = tuple(sorted(domains.items()))
+    t_values, t_valid = _truth_columns(truth, key, cfg.n_points, cfg.seed)
+    h_values, h_valid = evaluate_columns(
+        hypothesis, sample_columns(domains, cfg.n_points, cfg.seed), cfg.n_points
+    )
+    shared = h_valid & t_valid
+    t = t_values[shared]
+    rel = np.abs(h_values[shared] - t) / np.maximum(np.abs(t), cfg.abs_floor)
+    valid = int(np.count_nonzero(shared))
     if valid < cfg.min_valid_points:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"
         )
+    max_rel = float(rel.max()) if valid else 0.0
+    agree = not bool(np.any(rel > cfg.rel_tol))
     detail = "" if agree else f"max relative error {max_rel:.3g}"
     return EquivalenceVerdict(agree, "numeric", valid, max_rel, detail)

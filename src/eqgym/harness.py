@@ -31,7 +31,7 @@ from .environment import (
     load_spec,
     spec_to_dict,
 )
-from .evaluation import aggregate
+from .evaluation import AggregateReport, aggregate
 from .session import (
     ACTIVE,
     DEFAULT_EXPERIMENTS_QUOTA,
@@ -378,7 +378,12 @@ def report_text(
     by_difficulty: bool = False,
     overlap: bool = False,
 ) -> str:
-    report = aggregate(transcripts, environments)
+    return _render_report(
+        aggregate(transcripts, environments), by_difficulty, overlap
+    )
+
+
+def _render_report(report: AggregateReport, by_difficulty: bool, overlap: bool) -> str:
     parts = [report.to_tsv()]
     if by_difficulty:
         parts.append("\n" + report.difficulty_tsv())
@@ -431,13 +436,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_report(args) -> int:
     transcripts, environments = load_run(args.run)
-    text = report_text(
-        transcripts, environments,
-        by_difficulty=args.by_difficulty,
-        overlap=args.overlap,
-    )
-    sys.stdout.write(text)
     report = aggregate(transcripts, environments)
+    sys.stdout.write(_render_report(report, args.by_difficulty, args.overlap))
     out = Path(args.run)
     if out.is_dir():
         (out / "report.json").write_text(

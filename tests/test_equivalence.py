@@ -1,14 +1,24 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from eqgym.environment import bundled_environments
 from eqgym.expr import (
+    DomainError,
+    EquivalenceVerdict,
     EquivConfig,
     UnboundVariableError,
     VariableDomain,
+    canonicalize,
     equivalent,
+    evaluate,
+    evaluate_columns,
+    free_variables,
     parse,
+    sample_assignments,
+    sample_columns,
 )
 from gen import perturb, random_expression, rewrite
 
@@ -112,8 +122,6 @@ def test_log_sampling_covers_wide_domains():
 def _survives(expr, names):
     # Generator hygiene for fuzz: enough shared-validity points and a
     # value scale the relative tolerance can see.
-    from eqgym.expr import DomainError, evaluate, sample_assignments
-
     domains = {n: VariableDomain(0.5, 2.0) for n in names}
     points = sample_assignments(domains, 200, seed=0)
     values = []
@@ -144,3 +152,141 @@ def test_rewrites_stay_equivalent_and_perturbations_do_not():
         off = perturb(rng, expr)
         verdict = equivalent(off, expr, domains)
         assert not verdict.equivalent, (expr, off, verdict)
+
+
+# --------------------------------------------------------------------------
+# The column path against its scalar twins
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_points(domains, n, seed):
+    points = sample_assignments(domains, n, seed)
+    columns = sample_columns(domains, n, seed)
+    assert sorted(columns) == sorted(domains)
+    for name, column in columns.items():
+        assert not column.flags.writeable
+        assert _bits(column) == _bits([p[name] for p in points]), (name, seed)
+
+
+@pytest.mark.parametrize("env", bundled_environments(), ids=lambda e: e.env_id)
+def test_sample_columns_match_sample_assignments(env):
+    domains = env.domains()
+    domains.update({v.name: v.domain for v in env.dummies})
+    for seed in range(100):
+        _assert_same_points(domains, 200, seed)
+
+
+def test_sample_columns_fall_back_when_a_draw_is_rejected():
+    # No float lies strictly between 1.0 and its successor, so every draw
+    # for `b` is rejected; the rejections shift the draws for `c`.
+    empty = VariableDomain(1.0, math.nextafter(1.0, 2.0),
+                           lower_closed=False, upper_closed=False)
+    domains = {"a": VariableDomain(0.5, 2.0), "b": empty,
+               "c": VariableDomain(1e-3, 1e3)}
+    for seed in range(5):
+        _assert_same_points(domains, 50, seed)
+
+
+_TWIN_DOMAINS = {
+    "moderate": (0.5, 2.0),
+    "signed": (-3.0, 3.0),
+    "wide": (1e-8, 1e6),
+}
+
+
+@pytest.mark.parametrize("tame", [True, False])
+@pytest.mark.parametrize("span", sorted(_TWIN_DOMAINS))
+def test_evaluate_columns_matches_evaluate(span, tame):
+    names = ("x", "y")
+    lower, upper = _TWIN_DOMAINS[span]
+    domains = {n: VariableDomain(lower, upper) for n in names}
+    rng = random.Random(f"{span}-{tame}")
+    points = sample_assignments(domains, 200, seed=3)
+    columns = sample_columns(domains, 200, seed=3)
+    invalid = 0
+    for _ in range(150):
+        expr = random_expression(rng, names, depth=5, tame=tame)
+        outcomes = [evaluate(expr, p) for p in points]
+        values, valid = evaluate_columns(expr, columns, 200)
+        expected = [not isinstance(o, DomainError) for o in outcomes]
+        assert valid.tolist() == expected, expr
+        assert _bits(values[valid]) == _bits(
+            [o.value for o in outcomes if not isinstance(o, DomainError)]
+        ), expr
+        invalid += expected.count(False)
+    assert invalid > 0  # the error paths were exercised
+
+
+def _scalar_equivalent(hypothesis, truth, domains, cfg=EquivConfig()):
+    # The point-by-point oracle that the column path replaced.
+    missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
+    if missing:
+        raise UnboundVariableError(sorted(missing)[0])
+    if canonicalize(hypothesis) == canonicalize(truth):
+        return EquivalenceVerdict(True, "canonical", 0, None, "identical canonical form")
+    valid = 0
+    max_rel = 0.0
+    agree = True
+    for point in sample_assignments(domains, cfg.n_points, cfg.seed):
+        h = evaluate(hypothesis, point)
+        t = evaluate(truth, point)
+        if isinstance(h, DomainError) or isinstance(t, DomainError):
+            continue
+        valid += 1
+        scale = max(abs(t.value), cfg.abs_floor)
+        rel = abs(h.value - t.value) / scale
+        if rel > max_rel:
+            max_rel = rel
+        if rel > cfg.rel_tol:
+            agree = False
+    if valid < cfg.min_valid_points:
+        return EquivalenceVerdict(
+            False, "none", valid, None, "insufficient domain overlap"
+        )
+    detail = "" if agree else f"max relative error {max_rel:.3g}"
+    return EquivalenceVerdict(agree, "numeric", valid, max_rel, detail)
+
+
+def _assert_same_verdict(hypothesis, truth, domains, cfg=EquivConfig()):
+    new = equivalent(hypothesis, truth, domains, cfg)
+    old = _scalar_equivalent(hypothesis, truth, domains, cfg)
+    assert new == old, (hypothesis, truth, new, old)
+    if old.max_rel_error is not None:
+        assert _bits([new.max_rel_error]) == _bits([old.max_rel_error])
+
+
+@pytest.mark.parametrize("tame", [True, False])
+@pytest.mark.parametrize("span", sorted(_TWIN_DOMAINS))
+def test_equivalent_matches_scalar_oracle_on_random_pairs(span, tame):
+    names = ("x", "y")
+    lower, upper = _TWIN_DOMAINS[span]
+    domains = {n: VariableDomain(lower, upper) for n in names}
+    rng = random.Random(f"pairs-{span}-{tame}")
+    for i in range(40):
+        truth = random_expression(rng, names, depth=4, tame=tame)
+        cfg = EquivConfig(seed=i % 3)
+        # Several hypotheses per truth, so the cached truth is reused.
+        for hypothesis in (
+            rewrite(rng, truth, steps=3),
+            perturb(rng, truth),
+            random_expression(rng, names, depth=4, tame=tame),
+        ):
+            _assert_same_verdict(hypothesis, truth, domains, cfg)
+
+
+def test_equivalent_matches_scalar_oracle_on_bundled_environments():
+    rng = random.Random(99)
+    for env in bundled_environments():
+        domains = env.domains()
+        names = tuple(sorted(domains))
+        for seed in (0, 7):
+            cfg = EquivConfig(seed=seed)
+            for hypothesis in (
+                rewrite(rng, env.equation, steps=3),
+                perturb(rng, env.equation),
+                random_expression(rng, names, depth=4, tame=True),
+            ):
+                _assert_same_verdict(hypothesis, env.equation, domains, cfg)

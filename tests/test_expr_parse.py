@@ -112,6 +112,15 @@ def test_nesting_depth_capped():
         parse(deep)
 
 
+def test_tree_height_capped():
+    # A flat chain needs no parser recursion, but its tree is as tall as
+    # it is long: "F/k" has height 2 and each "+0*F" adds one level.
+    assert parse("F/k" + "+0*F" * 198) is not None  # height 200
+    for repeats in (199, 3000):
+        with pytest.raises(ExpressionSyntaxError, match="too deeply"):
+            parse("F/k" + "+0*F" * repeats)
+
+
 def test_node_validation():
     with pytest.raises(ValueError):
         Constant(float("inf"))

@@ -141,6 +141,30 @@ def test_run_session_max_turns_forces_exhausted():
     assert transcript["turn_count"] == 6
 
 
+def test_run_session_tall_formula_is_a_notice():
+    @dataclass
+    class TallFormula:
+        name: str = "tall"
+
+        def build(self, session):
+            return self
+
+        def act(self, packet):
+            from eqgym.agents import AgentTurn
+            return AgentTurn([], True, "F/k" + "+0*F" * 3000)
+
+        def close(self):
+            pass
+
+    transcript = run_session(ENVS["hooke"], "L1", TallFormula(), seed=7,
+                             test_quota=1, max_turns=2)
+    assert transcript["kind"] == "transcript"
+    assert transcript["status"] == "exhausted"
+    assert transcript["tests_used"] == 0
+    assert any(text.startswith("hypothesis not usable: expression nested too deeply")
+               for _, text in transcript["notices"])
+
+
 # --------------------------------------------------------------------------
 # Full runs
 

@@ -85,6 +85,18 @@ def test_hypothesis_parse_failure_not_fatal():
     assert session.hypotheses[0].error is not None
 
 
+def test_tall_formula_is_a_parse_failure():
+    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    out = session.submit_turn(turn(flag=True, formula="F/k" + "+0*F" * 3000))
+    assert out.oracle is None
+    assert "too deeply" in out.parse_failure
+    assert any(n.startswith("hypothesis not usable") for n in out.notices)
+    # The tallest formula parse accepts still goes through the oracle.
+    out = session.submit_turn(turn(flag=True, formula="F/k" + "-0*F" * 198))
+    assert out.oracle is not None and out.oracle.equivalent
+    assert session.status == "solved"
+
+
 def test_true_names_are_unknown_under_l4():
     session = new_session(env_by_id("hooke"), "L4")
     out = session.submit_turn(turn(formula="F / k"))
