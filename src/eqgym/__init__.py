@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .expr import (
     DomainError,
-    EquivConfig,
     EquivalenceVerdict,
     ExpressionError,
     Value,
@@ -69,7 +68,7 @@ from .harness import (
 __all__ = [
     "__version__",
     # expressions
-    "DomainError", "EquivConfig", "EquivalenceVerdict", "ExpressionError",
+    "DomainError", "EquivalenceVerdict", "ExpressionError",
     "Value", "VariableDomain", "canonicalize", "equivalent", "evaluate",
     "parse", "render",
     # environments

@@ -254,9 +254,7 @@ def _rationalized(c: float) -> str:
 
 
 def _display_domains(session) -> dict[str, VariableDomain]:
-    by_true = {
-        v.name: v.domain for v in session.env.controllables(session.expose_dummies)
-    }
+    by_true = session.env.domains(session.expose_dummies)
     return {
         display: by_true[true] for display, true in session.header.name_map.items()
     }
@@ -326,19 +324,22 @@ class SubprocessAgent:
         raise ProtocolError(f"agent kept replying out of protocol: {last_error}")
 
     def close(self) -> None:
-        if self.process.poll() is None:
+        # Close both pipes and reap the child even when it already exited,
+        # so no file descriptor or zombie outlives the session.
+        for stream in (self.process.stdin, self.process.stdout):
             try:
-                self.process.stdin.close()
+                stream.close()
             except OSError:
                 pass
+        try:
+            self.process.wait(timeout=5)
+        except subprocess.TimeoutExpired:
+            self.process.terminate()
             try:
                 self.process.wait(timeout=5)
             except subprocess.TimeoutExpired:
-                self.process.terminate()
-                try:
-                    self.process.wait(timeout=5)
-                except subprocess.TimeoutExpired:
-                    self.process.kill()
+                self.process.kill()
+                self.process.wait()
 
 
 @dataclass
@@ -358,6 +359,9 @@ PROMPT_DIR = Path(__file__).parent / "prompts"
 
 # (url, headers, body-bytes) -> response text
 Transport = Callable[[str, Mapping[str, str], bytes], str]
+
+# How long the default transport waits on the endpoint for one reply.
+HTTP_TIMEOUT_S = 120.0
 
 
 def load_prompt(path: str | Path | None = None) -> str:
@@ -417,7 +421,7 @@ def extract_json_object(text: str) -> dict:
 def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
     request = urllib.request.Request(url, data=body, headers=dict(headers))
     try:
-        with urllib.request.urlopen(request, timeout=HttpAgent.timeout) as response:
+        with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
             return response.read().decode("utf-8")
     except urllib.error.HTTPError as err:
         raise TransportError(f"HTTP {err.code} from agent endpoint") from None
@@ -426,8 +430,6 @@ def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
 
 
 class HttpAgent:
-    timeout = 120.0
-
     def __init__(
         self,
         endpoint: str,

@@ -131,8 +131,8 @@ class EnvironmentSpec:
     def controllables(self, expose_dummies: bool = False) -> tuple[VariableSpec, ...]:
         return self.inputs + self.dummies if expose_dummies else self.inputs
 
-    def domains(self) -> dict[str, VariableDomain]:
-        return {v.name: v.domain for v in self.inputs}
+    def domains(self, expose_dummies: bool = False) -> dict[str, VariableDomain]:
+        return {v.name: v.domain for v in self.controllables(expose_dummies)}
 
 
 def _validate(env: EnvironmentSpec) -> EnvironmentSpec:

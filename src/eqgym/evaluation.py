@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 from scipy.stats import kendalltau
@@ -13,12 +13,9 @@ from scipy.stats import kendalltau
 from .environment import EnvironmentSpec
 from .expr import (
     DomainError,
-    EquivConfig,
     EquivalenceVerdict,
     Expression,
     ExpressionError,
-    VariableDomain,
-    Value,
     canonicalize,
     equivalent,
     evaluate,
@@ -26,35 +23,15 @@ from .expr import (
     render,
 )
 
-# An external judge gets the two formula texts and returns True when it
-# considers them the same law.  None ships by default; when a judge is
-# registered it is consulted only where the numeric oracle could not
-# decide (insufficient domain overlap), and a positive answer is
-# reported with method "judge".
-Judge = Callable[[str, str], bool]
-
-
 def oracle_test(
     env: EnvironmentSpec,
     hypothesis: Expression,
-    config: EquivConfig | None = None,
-    seed: int | None = None,
-    judge: Judge | None = None,
-    extra_domains: Mapping[str, VariableDomain] | None = None,
+    seed: int = 0,
+    expose_dummies: bool = False,
 ) -> EquivalenceVerdict:
-    """Judge a hypothesis (true-name space) against the hidden equation."""
-    if config is None:
-        config = EquivConfig(seed=seed if seed is not None else 0)
-    domains = env.domains()
-    if extra_domains:
-        domains.update(extra_domains)
-    verdict = equivalent(hypothesis, env.equation, domains, config)
-    if judge is not None and not verdict.equivalent and verdict.method == "none":
-        if judge(render(hypothesis), env.equation_text):
-            return EquivalenceVerdict(
-                True, "judge", verdict.points_compared, None, "external judge"
-            )
-    return verdict
+    """Judge a hypothesis (true-name space) against the hidden equation,
+    over every variable the agent controls."""
+    return equivalent(hypothesis, env.equation, env.domains(expose_dummies), seed)
 
 
 # --------------------------------------------------------------------------
@@ -187,19 +164,6 @@ class GroupStats:
 
 
 @dataclass(frozen=True)
-class EfficiencyReport:
-    """Resource use over solved runs: turns taken, experiments spent, and
-    candidate hypotheses discarded before the final one."""
-
-    agent: str
-    level: str
-    n_solved: int
-    iteration_efficiency: float | None
-    sample_efficiency: float | None
-    hypothesis_efficiency: float | None
-
-
-@dataclass(frozen=True)
 class DifficultyStats:
     agent: str
     level: str
@@ -212,7 +176,6 @@ class DifficultyStats:
 @dataclass
 class AggregateReport:
     groups: list[GroupStats]
-    efficiency: list[EfficiencyReport]
     by_difficulty: list[DifficultyStats]
     solved_by_level: dict[str, dict[str, list[str]]]  # agent -> env -> levels
 
@@ -257,7 +220,6 @@ class AggregateReport:
     def to_json_dict(self) -> dict:
         return {
             "groups": [vars(g) for g in self.groups],
-            "efficiency": [vars(e) for e in self.efficiency],
             "by_difficulty": [vars(d) for d in self.by_difficulty],
             "solved_by_level": self.solved_by_level,
         }
@@ -296,7 +258,6 @@ def aggregate(
         by_group.setdefault((t["agent"], t["level"]), []).append(t)
 
     groups: list[GroupStats] = []
-    efficiency: list[EfficiencyReport] = []
     by_difficulty: list[DifficultyStats] = []
     solved_by_level: dict[str, dict[str, list[str]]] = {}
 
@@ -304,10 +265,6 @@ def aggregate(
         by_group.items(), key=lambda kv: (kv[0][0], _level_key(kv[0][1]))
     ):
         solved_runs = [t for t in runs if t.get("solved")]
-        uniques = [
-            unique_hypotheses(h["formula"] for h in t.get("hypotheses", ()))
-            for t in solved_runs
-        ]
         groups.append(GroupStats(
             agent=agent,
             level=level,
@@ -317,18 +274,13 @@ def aggregate(
             mean_experiments=_mean([t["experiments_used"] for t in solved_runs]),
             mean_tests=_mean([t["tests_used"] for t in solved_runs]),
             mean_turns=_mean([t["turn_count"] for t in solved_runs]),
-            mean_unique_hypotheses=_mean([float(u) for u in uniques]),
+            mean_unique_hypotheses=_mean([
+                float(unique_hypotheses(h["formula"] for h in t.get("hypotheses", ())))
+                for t in solved_runs
+            ]),
             mean_total_hypotheses=_mean(
                 [float(len(t.get("hypotheses", ()))) for t in solved_runs]
             ),
-        ))
-        efficiency.append(EfficiencyReport(
-            agent=agent,
-            level=level,
-            n_solved=len(solved_runs),
-            iteration_efficiency=_mean([t["turn_count"] for t in solved_runs]),
-            sample_efficiency=_mean([t["experiments_used"] for t in solved_runs]),
-            hypothesis_efficiency=_mean([float(max(u - 1, 0)) for u in uniques]),
         ))
         if env_group:
             per: dict[str, list[Mapping]] = {}
@@ -354,4 +306,4 @@ def aggregate(
         for levels in agent_envs.values():
             levels.sort(key=_level_key)
 
-    return AggregateReport(groups, efficiency, by_difficulty, solved_by_level)
+    return AggregateReport(groups, by_difficulty, solved_by_level)

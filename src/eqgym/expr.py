@@ -710,6 +710,16 @@ def canonicalize(expr: Expression) -> Expression:
 # --------------------------------------------------------------------------
 # Domains and numeric equivalence
 
+# The numeric oracle compares EQUIV_POINTS seeded points and needs at least
+# EQUIV_MIN_VALID of them valid on both sides; a point agrees when the
+# relative error, against max(|truth|, EQUIV_ABS_FLOOR), is at most
+# EQUIV_REL_TOL.
+EQUIV_REL_TOL = 1e-6
+EQUIV_ABS_FLOOR = 1e-12
+EQUIV_POINTS = 200
+EQUIV_MIN_VALID = 50
+
+
 @dataclass(frozen=True)
 class VariableDomain:
     """An interval of admissible values, with optional open bounds and a
@@ -906,15 +916,6 @@ def _truth_columns(
 
 
 @dataclass(frozen=True)
-class EquivConfig:
-    rel_tol: float = 1e-6
-    abs_floor: float = 1e-12
-    n_points: int = 200
-    min_valid_points: int = 50
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class EquivalenceVerdict:
     equivalent: bool
     method: str  # "canonical" | "numeric" | "none"
@@ -927,7 +928,7 @@ def equivalent(
     hypothesis: Expression,
     truth: Expression,
     domains: Mapping[str, VariableDomain],
-    config: EquivConfig | None = None,
+    seed: int = 0,
 ) -> EquivalenceVerdict:
     """Judge whether two expressions agree over the given domains.
 
@@ -938,26 +939,25 @@ def equivalent(
     form, the sample points and the truth's values are cached, so repeated
     tests against one truth with one seed work on the hypothesis alone.
     """
-    cfg = config if config is not None else EquivConfig()
     missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
     if canonicalize(hypothesis) == _canonical_truth(truth):
         return EquivalenceVerdict(True, "canonical", 0, None, "identical canonical form")
     key = tuple(sorted(domains.items()))
-    t_values, t_valid = _truth_columns(truth, key, cfg.n_points, cfg.seed)
+    t_values, t_valid = _truth_columns(truth, key, EQUIV_POINTS, seed)
     h_values, h_valid = evaluate_columns(
-        hypothesis, sample_columns(domains, cfg.n_points, cfg.seed), cfg.n_points
+        hypothesis, sample_columns(domains, EQUIV_POINTS, seed), EQUIV_POINTS
     )
     shared = h_valid & t_valid
     t = t_values[shared]
-    rel = np.abs(h_values[shared] - t) / np.maximum(np.abs(t), cfg.abs_floor)
+    rel = np.abs(h_values[shared] - t) / np.maximum(np.abs(t), EQUIV_ABS_FLOOR)
     valid = int(np.count_nonzero(shared))
-    if valid < cfg.min_valid_points:
+    if valid < EQUIV_MIN_VALID:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"
         )
     max_rel = float(rel.max()) if valid else 0.0
-    agree = not bool(np.any(rel > cfg.rel_tol))
+    agree = not bool(np.any(rel > EQUIV_REL_TOL))
     detail = "" if agree else f"max relative error {max_rel:.3g}"
     return EquivalenceVerdict(agree, "numeric", valid, max_rel, detail)

@@ -9,6 +9,7 @@ serializes it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping
@@ -17,6 +18,7 @@ from . import evaluation
 from .environment import EnvironmentSpec, PriorMask, LEVELS, render_observation, run_experiment
 from .expr import (
     DomainError,
+    EquivalenceVerdict,
     Expression,
     ExpressionError,
     Value,
@@ -123,18 +125,7 @@ class HypothesisRecord:
     turn_index: int
     parsed: Expression | None
     error: str | None = None
-    tested: bool = False
-    equivalent: bool | None = None
-    method: str | None = None
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    formula: str
-    equivalent: bool
-    method: str
-    points_compared: int
-    max_rel_error: float | None
+    verdict: EquivalenceVerdict | None = None  # set when the oracle tested it
 
 
 @dataclass
@@ -144,7 +135,7 @@ class TurnOutcome:
     malformed: int
     hypothesis_recorded: bool
     parse_failure: str | None
-    oracle: OracleResult | None
+    oracle: EquivalenceVerdict | None
     notices: list[str]
     status: str
     turn_index: int
@@ -179,7 +170,7 @@ class Session:
         self.hypotheses: list[HypothesisRecord] = []
         self.status = ACTIVE
         self.turn_index = 0
-        self.last_oracle: OracleResult | None = None
+        self.last_tested: HypothesisRecord | None = None
         self.notices: list[tuple[int, str]] = []
         self.turn_timings: list[float] = []  # in-memory only, never serialized
         self.failure_reason: str | None = None
@@ -204,10 +195,10 @@ class Session:
             },
             last_oracle_result=(
                 {
-                    "formula": self.last_oracle.formula,
-                    "equivalent": self.last_oracle.equivalent,
+                    "formula": self.last_tested.formula,
+                    "equivalent": self.last_tested.verdict.equivalent,
                 }
-                if self.last_oracle is not None
+                if self.last_tested is not None
                 else None
             ),
         )
@@ -255,7 +246,7 @@ class Session:
             if parse_failure is not None:
                 notices.append(f"hypothesis not usable: {parse_failure}")
 
-        oracle: OracleResult | None = None
+        oracle: EquivalenceVerdict | None = None
         if getattr(turn, "test_hypothesis_flag", False):
             if hypothesis is None:
                 notices.append("test skipped: no hypothesis submitted this turn")
@@ -302,6 +293,12 @@ class Session:
         for name, value in proposal.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return f"value for {name} must be a number"
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond float range
+                finite = False
+            if not finite:
+                return f"value for {name} must be a finite number"
         return None
 
     def _run_one(self, proposal: Mapping[str, float]) -> ExperimentRecord:
@@ -352,31 +349,17 @@ class Session:
         self.hypotheses.append(record)
         return record
 
-    def _run_oracle(self, hypothesis: HypothesisRecord) -> OracleResult:
+    def _run_oracle(self, hypothesis: HypothesisRecord) -> EquivalenceVerdict:
         self.tests_remaining -= 1
         true_expr = rename_variables(hypothesis.parsed, self._to_true)
-        extra = (
-            {v.name: v.domain for v in self.env.dummies}
-            if self.expose_dummies
-            else None
-        )
         verdict = evaluation.oracle_test(
-            self.env, true_expr, seed=self.seed, extra_domains=extra
+            self.env, true_expr, seed=self.seed, expose_dummies=self.expose_dummies
         )
-        oracle = OracleResult(
-            formula=hypothesis.formula,
-            equivalent=verdict.equivalent,
-            method=verdict.method,
-            points_compared=verdict.points_compared,
-            max_rel_error=verdict.max_rel_error,
-        )
-        hypothesis.tested = True
-        hypothesis.equivalent = verdict.equivalent
-        hypothesis.method = verdict.method
-        self.last_oracle = oracle
+        hypothesis.verdict = verdict
+        self.last_tested = hypothesis
         if verdict.equivalent:
             self.status = SOLVED
-        return oracle
+        return verdict
 
     # -- termination ----------------------------------------------------------
 
@@ -429,9 +412,9 @@ class Session:
                     "turn": h.turn_index,
                     "parsed": h.parsed is not None,
                     "error": h.error,
-                    "tested": h.tested,
-                    "equivalent": h.equivalent,
-                    "method": h.method,
+                    "tested": h.verdict is not None,
+                    "equivalent": None if h.verdict is None else h.verdict.equivalent,
+                    "method": None if h.verdict is None else h.verdict.method,
                 }
                 for h in self.hypotheses
             ],

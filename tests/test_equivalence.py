@@ -6,9 +6,12 @@ import pytest
 
 from eqgym.environment import bundled_environments
 from eqgym.expr import (
+    EQUIV_ABS_FLOOR,
+    EQUIV_MIN_VALID,
+    EQUIV_POINTS,
+    EQUIV_REL_TOL,
     DomainError,
     EquivalenceVerdict,
-    EquivConfig,
     UnboundVariableError,
     VariableDomain,
     canonicalize,
@@ -173,8 +176,7 @@ def _assert_same_points(domains, n, seed):
 
 @pytest.mark.parametrize("env", bundled_environments(), ids=lambda e: e.env_id)
 def test_sample_columns_match_sample_assignments(env):
-    domains = env.domains()
-    domains.update({v.name: v.domain for v in env.dummies})
+    domains = env.domains(expose_dummies=True)
     for seed in range(100):
         _assert_same_points(domains, 200, seed)
 
@@ -220,7 +222,7 @@ def test_evaluate_columns_matches_evaluate(span, tame):
     assert invalid > 0  # the error paths were exercised
 
 
-def _scalar_equivalent(hypothesis, truth, domains, cfg=EquivConfig()):
+def _scalar_equivalent(hypothesis, truth, domains, seed=0):
     # The point-by-point oracle that the column path replaced.
     missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
@@ -230,19 +232,19 @@ def _scalar_equivalent(hypothesis, truth, domains, cfg=EquivConfig()):
     valid = 0
     max_rel = 0.0
     agree = True
-    for point in sample_assignments(domains, cfg.n_points, cfg.seed):
+    for point in sample_assignments(domains, EQUIV_POINTS, seed):
         h = evaluate(hypothesis, point)
         t = evaluate(truth, point)
         if isinstance(h, DomainError) or isinstance(t, DomainError):
             continue
         valid += 1
-        scale = max(abs(t.value), cfg.abs_floor)
+        scale = max(abs(t.value), EQUIV_ABS_FLOOR)
         rel = abs(h.value - t.value) / scale
         if rel > max_rel:
             max_rel = rel
-        if rel > cfg.rel_tol:
+        if rel > EQUIV_REL_TOL:
             agree = False
-    if valid < cfg.min_valid_points:
+    if valid < EQUIV_MIN_VALID:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"
         )
@@ -250,9 +252,9 @@ def _scalar_equivalent(hypothesis, truth, domains, cfg=EquivConfig()):
     return EquivalenceVerdict(agree, "numeric", valid, max_rel, detail)
 
 
-def _assert_same_verdict(hypothesis, truth, domains, cfg=EquivConfig()):
-    new = equivalent(hypothesis, truth, domains, cfg)
-    old = _scalar_equivalent(hypothesis, truth, domains, cfg)
+def _assert_same_verdict(hypothesis, truth, domains, seed=0):
+    new = equivalent(hypothesis, truth, domains, seed)
+    old = _scalar_equivalent(hypothesis, truth, domains, seed)
     assert new == old, (hypothesis, truth, new, old)
     if old.max_rel_error is not None:
         assert _bits([new.max_rel_error]) == _bits([old.max_rel_error])
@@ -267,14 +269,13 @@ def test_equivalent_matches_scalar_oracle_on_random_pairs(span, tame):
     rng = random.Random(f"pairs-{span}-{tame}")
     for i in range(40):
         truth = random_expression(rng, names, depth=4, tame=tame)
-        cfg = EquivConfig(seed=i % 3)
         # Several hypotheses per truth, so the cached truth is reused.
         for hypothesis in (
             rewrite(rng, truth, steps=3),
             perturb(rng, truth),
             random_expression(rng, names, depth=4, tame=tame),
         ):
-            _assert_same_verdict(hypothesis, truth, domains, cfg)
+            _assert_same_verdict(hypothesis, truth, domains, seed=i % 3)
 
 
 def test_equivalent_matches_scalar_oracle_on_bundled_environments():
@@ -283,10 +284,9 @@ def test_equivalent_matches_scalar_oracle_on_bundled_environments():
         domains = env.domains()
         names = tuple(sorted(domains))
         for seed in (0, 7):
-            cfg = EquivConfig(seed=seed)
             for hypothesis in (
                 rewrite(rng, env.equation, steps=3),
                 perturb(rng, env.equation),
                 random_expression(rng, names, depth=4, tame=True),
             ):
-                _assert_same_verdict(hypothesis, env.equation, domains, cfg)
+                _assert_same_verdict(hypothesis, env.equation, domains, seed)

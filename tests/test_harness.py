@@ -165,6 +165,36 @@ def test_run_session_tall_formula_is_a_notice():
                for _, text in transcript["notices"])
 
 
+def test_run_session_non_finite_proposals_are_notices():
+    @dataclass
+    class NonFinite:
+        name: str = "non_finite"
+
+        def build(self, session):
+            return self
+
+        def act(self, packet):
+            from eqgym.agents import AgentTurn
+            proposals = json.loads(
+                '[{"F": NaN, "k": 1.0}, {"F": 1e400, "k": 1.0},'
+                ' {"F": 1' + "0" * 400 + ', "k": 1.0}, {"F": 1.0, "k": 10.0}]'
+            )
+            return AgentTurn(proposals, False, "")
+
+        def close(self):
+            pass
+
+    transcript = run_session(ENVS["hooke"], "L1", NonFinite(), seed=7,
+                             experiments_quota=10, max_turns=2)
+    assert transcript["kind"] == "transcript"
+    assert transcript["status"] == "exhausted"
+    assert transcript["experiments_used"] == 2
+    assert transcript["experiments"] == [{"F": 1.0, "k": 10.0, "x": 0.1}] * 2
+    skipped = [text for _, text in transcript["notices"] if "finite" in text]
+    assert len(skipped) == 6
+    json.dumps(transcript, allow_nan=False)
+
+
 # --------------------------------------------------------------------------
 # Full runs
 

@@ -66,6 +66,30 @@ def test_malformed_proposals_cost_nothing():
     assert len(out.notices) == 5
 
 
+def test_non_finite_proposals_cost_nothing():
+    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    # Python's json decodes all of these; none is a finite float.
+    decoded = json.loads(
+        '[{"F": NaN, "k": 1.0}, {"F": 1.0, "k": Infinity}, {"F": -Infinity, "k": 1.0},'
+        ' {"F": 1e400, "k": 1.0}, {"F": 1' + "0" * 400 + ', "k": 1.0},'
+        ' {"F": 1.0, "k": 10.0}]'
+    )
+    out = session.submit_turn(turn(decoded))
+    assert out.malformed == 5
+    assert len(out.executed) == 1
+    assert session.experiments_remaining == 4
+    assert out.notices == [
+        "experiment proposal skipped: value for F must be a finite number",
+        "experiment proposal skipped: value for k must be a finite number",
+        "experiment proposal skipped: value for F must be a finite number",
+        "experiment proposal skipped: value for F must be a finite number",
+        "experiment proposal skipped: value for F must be a finite number",
+    ]
+    # Everything the agent and the log see stays strict JSON.
+    json.dumps(session.observation_packet().to_wire(), allow_nan=False)
+    json.dumps(session.transcript(), allow_nan=False)
+
+
 def test_overbudget_proposals_dropped_with_notice():
     session = new_session(env_by_id("hooke"), "L1", experiments_quota=3, test_quota=2)
     proposals = [{"F": float(i + 1), "k": 10.0} for i in range(5)]
@@ -132,6 +156,25 @@ def test_masked_oracle_uses_display_names():
     assert out.oracle is not None
     assert out.oracle.equivalent
     assert session.status == "solved"
+
+
+def test_exposed_dummy_is_judged_over_its_domain():
+    session = new_session(env_by_id("pendulum"), "L1", test_quota=2,
+                          expose_dummies=True)
+    assert list(session.observation_packet().controllable_variables) == [
+        "l", "g", "theta_0"]
+    out = session.submit_turn(
+        turn(flag=True, formula="2*np.pi*np.sqrt(l/g)*theta_0"))
+    assert out.oracle is not None and not out.oracle.equivalent
+    assert out.oracle.method == "numeric"
+    out = session.submit_turn(
+        turn(flag=True, formula="2*np.pi*np.sqrt(l/g)*theta_0/theta_0"))
+    assert out.oracle is not None and out.oracle.equivalent
+    assert out.oracle.method == "numeric"
+    assert session.status == "solved"
+    hypotheses = session.transcript()["hypotheses"]
+    assert [(h["tested"], h["equivalent"], h["method"]) for h in hypotheses] == [
+        (True, False, "numeric"), (True, True, "numeric")]
 
 
 def test_test_skipped_notices():
