@@ -60,6 +60,7 @@ class RunPlan:
     seed: int = 0
     replicates: int = 1
     parallelism: int | None = None
+    expose_dummies: bool = False
 
 
 def build_plan(
@@ -71,6 +72,7 @@ def build_plan(
     seed: int = 0,
     replicates: int = 1,
     parallelism: int | None = None,
+    expose_dummies: bool = False,
 ) -> RunPlan:
     if not environments:
         raise PlanError("empty environment set")
@@ -106,11 +108,12 @@ def build_plan(
         seed=seed,
         replicates=replicates,
         parallelism=parallelism,
+        expose_dummies=expose_dummies,
     )
 
 
-def plan_hash(plan: RunPlan) -> str:
-    document = json.dumps({
+def _plan_fields(plan: RunPlan) -> dict:
+    fields = {
         "environments": [env.env_id for env in plan.environments],
         "levels": list(plan.levels),
         "agents": [factory.name for factory in plan.agents],
@@ -118,7 +121,16 @@ def plan_hash(plan: RunPlan) -> str:
         "test_quota": plan.test_quota,
         "seed": plan.seed,
         "replicates": plan.replicates,
-    }, sort_keys=True)
+    }
+    # Written only when set, so every plan without dummies keeps the hash
+    # and the log bytes it had before the flag existed.
+    if plan.expose_dummies:
+        fields["expose_dummies"] = True
+    return fields
+
+
+def plan_hash(plan: RunPlan) -> str:
+    document = json.dumps(_plan_fields(plan), sort_keys=True)
     return hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
 
 
@@ -149,6 +161,7 @@ def run_session(
     test_quota: int = DEFAULT_TEST_QUOTA,
     seed: int = 0,
     max_turns: int | None = None,
+    expose_dummies: bool = False,
 ) -> dict:
     """Drive one agent/environment session to a terminal state.
 
@@ -161,6 +174,7 @@ def run_session(
         experiments_quota=experiments_quota,
         test_quota=test_quota,
         seed=seed,
+        expose_dummies=expose_dummies,
         agent_name=factory.name,
     )
     agent = None
@@ -217,6 +231,7 @@ def _run_cell(plan: RunPlan, env, level, factory, replicate) -> dict:
             experiments_quota=plan.experiments_quota,
             test_quota=plan.test_quota,
             seed=seed,
+            expose_dummies=plan.expose_dummies,
         )
         transcript["replicate"] = replicate
         return transcript
@@ -238,7 +253,13 @@ def _version() -> str:
 
 
 def _default_parallelism(plan: RunPlan) -> int:
-    workers = os.cpu_count() or 1
+    # Count the CPUs this process may run on, which a container or taskset
+    # can pin below os.cpu_count(); sched_getaffinity is absent on macOS
+    # and Windows.
+    if hasattr(os, "sched_getaffinity"):
+        workers = len(os.sched_getaffinity(0))
+    else:
+        workers = os.cpu_count() or 1
     if any(isinstance(f, HttpAgentFactory) for f in plan.agents):
         workers = min(workers, HTTP_PARALLEL_CAP)
     return max(workers, 1)
@@ -275,13 +296,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
             "kind": "plan",
             "plan_hash": plan_hash(plan),
             "version": _version(),
-            "environments": [env.env_id for env in plan.environments],
-            "levels": list(plan.levels),
-            "agents": [factory.name for factory in plan.agents],
-            "experiments_quota": plan.experiments_quota,
-            "test_quota": plan.test_quota,
-            "seed": plan.seed,
-            "replicates": plan.replicates,
+            **_plan_fields(plan),
         })
         for env in plan.environments:
             emit({
@@ -423,6 +438,7 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         replicates=args.replicates,
         parallelism=args.parallel,
+        expose_dummies=args.expose_dummies,
     )
     record = execute(plan, out_dir=args.out)
     solved = sum(1 for t in record.transcripts if t.get("solved"))
@@ -474,6 +490,7 @@ def _cmd_play(args) -> int:
         experiments_quota=args.experiments_quota,
         test_quota=args.test_quota,
         seed=args.seed,
+        expose_dummies=args.expose_dummies,
     )
     print(json.dumps(transcript, indent=2))
     return 0 if transcript.get("status") != "protocol_failure" else 1
@@ -500,7 +517,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
-                       help="worker count (default: CPU count, capped for HTTP)")
+                       help="worker count (default: usable CPU count, capped for HTTP)")
+    run_p.add_argument("--expose-dummies", action="store_true",
+                       help="show each environment's dummy variables to the agents")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")
     run_p.add_argument("--api-key-env", default=None,
@@ -525,6 +544,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_EXPERIMENTS_QUOTA)
     play_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)
     play_p.add_argument("--seed", type=int, default=0)
+    play_p.add_argument("--expose-dummies", action="store_true",
+                        help="show the environment's dummy variables to the agent")
     play_p.add_argument("--model", default=None)
     play_p.add_argument("--api-key-env", default=None)
     play_p.set_defaults(handler=_cmd_play)

@@ -46,7 +46,13 @@ class WireFormatError(ValueError):
 
 @dataclass(frozen=True)
 class ObservationPacket:
-    """The full agent-facing state document for one turn."""
+    """The full agent-facing state document for one turn.
+
+    `historical_experiments` is a fresh list, but its entries are the
+    session's own history dicts, shared with every later packet and the
+    transcript: in-process agents must treat them as read-only.
+    `to_wire` copies them.
+    """
 
     problem_description: str
     controllable_variables: dict[str, str]
@@ -167,6 +173,10 @@ class Session:
         self.experiments_remaining = experiments_quota
         self.tests_remaining = test_quota
         self.records: list[ExperimentRecord] = []
+        # Each record flattened once, in display space.  Packets and the
+        # transcript take shallow copies that share these entries, so no
+        # turn re-flattens the history.
+        self._history: list[dict] = []
         self.hypotheses: list[HypothesisRecord] = []
         self.status = ACTIVE
         self.turn_index = 0
@@ -186,9 +196,7 @@ class Session:
             problem_description=self.header.problem_description,
             controllable_variables=dict(self.header.controllable_variables),
             observable_variable=dict(self.header.observable_variable),
-            historical_experiments=[
-                r.flattened(self._output_display) for r in self.records
-            ],
+            historical_experiments=list(self._history),
             quota={
                 "experiments_quota": self.experiments_remaining,
                 "test_quota": self.tests_remaining,
@@ -313,6 +321,7 @@ class Session:
                 display, None, self._display_reason(outcome, display), self.turn_index
             )
         self.records.append(record)
+        self._history.append(record.flattened(self._output_display))
         return record
 
     def _display_reason(self, err: DomainError, display: Mapping[str, float]) -> str:
@@ -403,9 +412,7 @@ class Session:
             "turn_count": self.turn_index,
             "experiments_used": len(self.records),
             "tests_used": self.test_quota - self.tests_remaining,
-            "experiments": [
-                r.flattened(self._output_display) for r in self.records
-            ],
+            "experiments": list(self._history),
             "hypotheses": [
                 {
                     "formula": h.formula,

@@ -3,8 +3,11 @@ from types import SimpleNamespace
 
 import pytest
 
+from eqgym.agents import agent_from_spec
 from eqgym.environment import LEVELS, bundled_environments
+from eqgym.harness import run_session
 from eqgym.session import (
+    ExperimentRecord,
     ObservationPacket,
     Session,
     TerminalSession,
@@ -48,6 +51,70 @@ def test_experiments_consume_quota_and_flatten():
     assert entry["F"] == 2.0 and entry["k"] == -1.0
     assert "x" not in entry
     assert entry["invalid"].startswith("out-of-domain: k")
+
+
+def _flattened_history(session):
+    output = next(iter(session.header.observable_variable))
+    return [r.flattened(output) for r in session.records]
+
+
+@pytest.mark.parametrize("env_id, level, turns", [
+    ("hooke", "L1", [
+        [{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": -1.0}],   # valid, k < 0
+        [{"F": 500.0, "k": 1.0}],                          # out of domain
+        [],
+        [{"F": 3.0, "k": 4.0}, {"F": 1.0}],                # valid, malformed
+    ]),
+    ("env_409", "L4", [
+        [{"var_1": 1.0, "var_2": 1.0, "var_3": 2.0, "var_4": 0.5}],  # r < a
+        [{"var_1": 1.0, "var_2": 1.0, "var_3": 0.5, "var_4": 0.9}],  # r > a
+        [{"var_1": 1.0, "var_2": 1.0, "var_3": 2.0, "var_4": 5.0}],  # r outside
+    ]),
+])
+def test_history_matches_records_after_every_turn(env_id, level, turns):
+    session = new_session(env_by_id(env_id), level, experiments_quota=20)
+    for experiments in turns:
+        session.submit_turn(turn(experiments))
+        expected = _flattened_history(session)
+        assert session.observation_packet().historical_experiments == expected
+        assert session.transcript()["experiments"] == expected
+    reasons = [e.get("invalid", "") for e in session.transcript()["experiments"]]
+    assert any(r.startswith("out-of-domain") for r in reasons)
+    assert any(r == "" for r in reasons)
+    if env_id == "env_409":
+        assert any(r.startswith("validity") for r in reasons)
+
+
+def test_packet_list_is_not_the_history():
+    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10)
+    session.submit_turn(turn([{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": 5.0}]))
+    expected = _flattened_history(session)
+    first = session.observation_packet()
+    first.historical_experiments.append({"F": 9.0, "k": 9.0, "x": 1.0})
+    assert session.observation_packet().historical_experiments == expected
+    assert session.transcript()["experiments"] == expected
+    session.observation_packet().historical_experiments.clear()
+    session.transcript()["experiments"].clear()
+    assert session.observation_packet().historical_experiments == expected
+    assert session.transcript()["experiments"] == expected
+
+
+def test_each_experiment_is_flattened_once(monkeypatch):
+    # Re-flattening the history on every turn made a session quadratic in
+    # its experiment quota.
+    calls = []
+    original = ExperimentRecord.flattened
+
+    def counting(self, output_name):
+        calls.append(self)
+        return original(self, output_name)
+
+    monkeypatch.setattr(ExperimentRecord, "flattened", counting)
+    transcript = run_session(env_by_id("multi_energy"), "L1",
+                             agent_from_spec("scripted:random"),
+                             experiments_quota=400, seed=11)
+    assert transcript["experiments_used"] == 400
+    assert len(calls) == transcript["experiments_used"]
 
 
 def test_malformed_proposals_cost_nothing():
