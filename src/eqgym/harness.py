@@ -60,7 +60,6 @@ class RunPlan:
     seed: int = 0
     replicates: int = 1
     parallelism: int | None = None
-    expose_dummies: bool = False
 
 
 def build_plan(
@@ -72,7 +71,6 @@ def build_plan(
     seed: int = 0,
     replicates: int = 1,
     parallelism: int | None = None,
-    expose_dummies: bool = False,
 ) -> RunPlan:
     if not environments:
         raise PlanError("empty environment set")
@@ -108,12 +106,11 @@ def build_plan(
         seed=seed,
         replicates=replicates,
         parallelism=parallelism,
-        expose_dummies=expose_dummies,
     )
 
 
-def _plan_fields(plan: RunPlan) -> dict:
-    fields = {
+def plan_hash(plan: RunPlan) -> str:
+    document = json.dumps({
         "environments": [env.env_id for env in plan.environments],
         "levels": list(plan.levels),
         "agents": [factory.name for factory in plan.agents],
@@ -121,16 +118,7 @@ def _plan_fields(plan: RunPlan) -> dict:
         "test_quota": plan.test_quota,
         "seed": plan.seed,
         "replicates": plan.replicates,
-    }
-    # Written only when set, so every plan without dummies keeps the hash
-    # and the log bytes it had before the flag existed.
-    if plan.expose_dummies:
-        fields["expose_dummies"] = True
-    return fields
-
-
-def plan_hash(plan: RunPlan) -> str:
-    document = json.dumps(_plan_fields(plan), sort_keys=True)
+    }, sort_keys=True)
     return hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
 
 
@@ -161,7 +149,6 @@ def run_session(
     test_quota: int = DEFAULT_TEST_QUOTA,
     seed: int = 0,
     max_turns: int | None = None,
-    expose_dummies: bool = False,
 ) -> dict:
     """Drive one agent/environment session to a terminal state.
 
@@ -174,7 +161,6 @@ def run_session(
         experiments_quota=experiments_quota,
         test_quota=test_quota,
         seed=seed,
-        expose_dummies=expose_dummies,
         agent_name=factory.name,
     )
     agent = None
@@ -231,7 +217,6 @@ def _run_cell(plan: RunPlan, env, level, factory, replicate) -> dict:
             experiments_quota=plan.experiments_quota,
             test_quota=plan.test_quota,
             seed=seed,
-            expose_dummies=plan.expose_dummies,
         )
         transcript["replicate"] = replicate
         return transcript
@@ -296,7 +281,13 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
             "kind": "plan",
             "plan_hash": plan_hash(plan),
             "version": _version(),
-            **_plan_fields(plan),
+            "environments": [env.env_id for env in plan.environments],
+            "levels": list(plan.levels),
+            "agents": [factory.name for factory in plan.agents],
+            "experiments_quota": plan.experiments_quota,
+            "test_quota": plan.test_quota,
+            "seed": plan.seed,
+            "replicates": plan.replicates,
         })
         for env in plan.environments:
             emit({
@@ -438,7 +429,6 @@ def _cmd_run(args) -> int:
         seed=args.seed,
         replicates=args.replicates,
         parallelism=args.parallel,
-        expose_dummies=args.expose_dummies,
     )
     record = execute(plan, out_dir=args.out)
     solved = sum(1 for t in record.transcripts if t.get("solved"))
@@ -490,7 +480,6 @@ def _cmd_play(args) -> int:
         experiments_quota=args.experiments_quota,
         test_quota=args.test_quota,
         seed=args.seed,
-        expose_dummies=args.expose_dummies,
     )
     print(json.dumps(transcript, indent=2))
     return 0 if transcript.get("status") != "protocol_failure" else 1
@@ -518,8 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
                        help="worker count (default: usable CPU count, capped for HTTP)")
-    run_p.add_argument("--expose-dummies", action="store_true",
-                       help="show each environment's dummy variables to the agents")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")
     run_p.add_argument("--api-key-env", default=None,
@@ -544,8 +531,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         default=DEFAULT_EXPERIMENTS_QUOTA)
     play_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)
     play_p.add_argument("--seed", type=int, default=0)
-    play_p.add_argument("--expose-dummies", action="store_true",
-                        help="show the environment's dummy variables to the agent")
     play_p.add_argument("--model", default=None)
     play_p.add_argument("--api-key-env", default=None)
     play_p.set_defaults(handler=_cmd_play)

@@ -172,6 +172,8 @@ class Session:
         self.test_quota = test_quota
         self.experiments_remaining = experiments_quota
         self.tests_remaining = test_quota
+        # The typed, public record of each experiment; the tests check
+        # `_history` against it.
         self.records: list[ExperimentRecord] = []
         # Each record flattened once, in display space.  Packets and the
         # transcript take shallow copies that share these entries, so no

@@ -99,10 +99,7 @@ def test_plan_hash_tracks_content():
     plan_c = build_plan([ENVS["hooke"]], ["L2"], [PowerLawAgentFactory()])
     assert plan_hash(plan_a) == plan_hash(plan_b)
     assert plan_hash(plan_a) != plan_hash(plan_c)
-    plan_d = build_plan([ENVS["hooke"]], ["L1"], [PowerLawAgentFactory()],
-                        expose_dummies=True)
-    assert plan_hash(plan_a) != plan_hash(plan_d)
-    # A plan without dummies keeps the hash it had before the flag existed.
+    # Pinned: a changed hash changes the bytes of every run log.
     assert plan_hash(plan_a) == "c7d8d4747901a66c"
 
 
@@ -264,20 +261,6 @@ def test_execute_isolates_crashing_cells(tmp_path):
     assert {t["status"] for t in healthy} == {"solved", "exhausted"}
 
 
-def test_execute_exposes_dummies_when_planned(tmp_path):
-    plan = build_plan([ENVS["pendulum"]], ["L1"], [PowerLawAgentFactory()],
-                      expose_dummies=True)
-    record = execute(plan, out_dir=tmp_path / "run")
-    (transcript,) = record.transcripts
-    assert transcript["expose_dummies"] is True
-    assert transcript["status"] == "solved"
-    assert transcript["experiments"]
-    assert all("theta_0" in entry for entry in transcript["experiments"])
-    first = json.loads((tmp_path / "run" / "run.jsonl").read_text().splitlines()[0])
-    assert first["expose_dummies"] is True
-    assert first["plan_hash"] == plan_hash(plan)
-
-
 def test_execute_without_out_dir_returns_record_only():
     record = execute(small_plan())
     assert record.out_dir is None
@@ -388,24 +371,6 @@ def test_cli_play(tmp_path, capsys):
     transcript = json.loads(capsys.readouterr().out)
     assert transcript["status"] == "solved"
     assert transcript["level"] == "L4"
-
-
-def test_cli_expose_dummies(tmp_path, capsys):
-    out = tmp_path / "out"
-    code = main(["run", "--envs", str(env_file(tmp_path, "pendulum")),
-                 "--levels", "L1", "--agent", "scripted:power_law",
-                 "--out", str(out), "--expose-dummies"])
-    assert code == 0
-    capsys.readouterr()
-    plan_line, *_, cell = (out / "run.jsonl").read_text().splitlines()
-    assert json.loads(plan_line)["expose_dummies"] is True
-    assert json.loads(cell)["expose_dummies"] is True
-
-    code = main(["play", "--env", "pendulum", "--expose-dummies"])
-    assert code == 0
-    transcript = json.loads(capsys.readouterr().out)
-    assert transcript["expose_dummies"] is True
-    assert "theta_0" in transcript["experiments"][0]
 
 
 def test_cli_play_resolves_bundled_id(capsys):
