@@ -14,6 +14,8 @@ import os
 import re
 import shlex
 import subprocess
+import threading
+import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -281,6 +283,10 @@ class PowerLawAgentFactory:
 # --------------------------------------------------------------------------
 # Subprocess transport: one process per session, line-delimited JSON
 
+# How long an agent may take over one reply, on either transport.
+AGENT_TIMEOUT_S = 120.0
+
+
 class SubprocessAgent:
     def __init__(self, command: str, retry_budget: int = 3):
         self.command = command
@@ -292,20 +298,50 @@ class SubprocessAgent:
             text=True,
             bufsize=1,
         )
+        # A watchdog thread enforces the per-exchange deadline by killing
+        # the child, which ends a blocked write or readline (unless a process
+        # the child started still holds the pipes).  Polling the pipes
+        # instead would add a GIL release to every turn, and under a thread
+        # pool each release can hand the interpreter to a busy cell.
+        self._deadline: float | None = None
+        self._timed_out = False
+        self._closed = threading.Event()
+        self._watchdog = threading.Thread(target=self._watch, daemon=True)
+        self._watchdog.start()
+
+    def _watch(self) -> None:
+        while True:
+            deadline = self._deadline
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                self._timed_out = True
+                self.process.kill()
+                return
+            wait = AGENT_TIMEOUT_S if deadline is None else deadline - now
+            if self._closed.wait(wait):
+                return
 
     def _exchange(self, document: dict) -> str:
         if self.process.poll() is not None:
             raise TransportError(
                 f"agent process exited with code {self.process.returncode}"
             )
+        self._deadline = time.monotonic() + AGENT_TIMEOUT_S
         try:
             self.process.stdin.write(json.dumps(document) + "\n")
             self.process.stdin.flush()
-        except (BrokenPipeError, OSError) as err:
-            raise TransportError(f"agent process unreachable: {err}") from None
-        line = self.process.stdout.readline()
-        if not line:
-            raise TransportError("agent process closed its output")
+            line = self.process.stdout.readline()
+        except OSError as err:
+            problem = f"agent process unreachable: {err}"
+        else:
+            problem = None if line else "agent process closed its output"
+        finally:
+            self._deadline = None
+        if self._timed_out:
+            self.process.wait()
+            problem = f"agent process did not answer within {AGENT_TIMEOUT_S:g} s"
+        if problem is not None:
+            raise TransportError(problem)
         return line
 
     def act(self, packet: ObservationPacket) -> AgentTurn:
@@ -324,6 +360,8 @@ class SubprocessAgent:
         raise ProtocolError(f"agent kept replying out of protocol: {last_error}")
 
     def close(self) -> None:
+        self._closed.set()
+        self._watchdog.join()
         # Close both pipes and reap the child even when it already exited,
         # so no file descriptor or zombie outlives the session.
         for stream in (self.process.stdin, self.process.stdout):
@@ -359,9 +397,6 @@ PROMPT_DIR = Path(__file__).parent / "prompts"
 
 # (url, headers, body-bytes) -> response text
 Transport = Callable[[str, Mapping[str, str], bytes], str]
-
-# How long the default transport waits on the endpoint for one reply.
-HTTP_TIMEOUT_S = 120.0
 
 
 def load_prompt(path: str | Path | None = None) -> str:
@@ -421,7 +456,7 @@ def extract_json_object(text: str) -> dict:
 def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
     request = urllib.request.Request(url, data=body, headers=dict(headers))
     try:
-        with urllib.request.urlopen(request, timeout=HTTP_TIMEOUT_S) as response:
+        with urllib.request.urlopen(request, timeout=AGENT_TIMEOUT_S) as response:
             return response.read().decode("utf-8")
     except urllib.error.HTTPError as err:
         raise TransportError(f"HTTP {err.code} from agent endpoint") from None

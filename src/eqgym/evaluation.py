@@ -8,7 +8,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-from scipy.stats import kendalltau
 
 from .environment import EnvironmentSpec
 from .expr import (
@@ -89,6 +88,10 @@ def fit_report(
         r2 = 1.0 - ss_res / ss_tot
     mse = ss_res / n
     if n >= 2:
+        # Imported here: scipy.stats takes most of `import eqgym`, and no
+        # run calls fit_report.
+        from scipy.stats import kendalltau
+
         tau = kendalltau(pred, obs, variant="b").statistic
         tau = None if math.isnan(tau) else float(tau)
     else:

@@ -4,6 +4,10 @@ A run is a grid of cells (environment x prior level x agent x replicate).
 Cells execute on a worker pool but the log is flushed strictly in cell
 order, so two executions of the same plan produce byte-identical logs and
 a killed run leaves a readable prefix.
+
+Scripted and subprocess cells are CPU-bound Python, so on Linux they run
+on a fork-started process pool; HTTP cells wait on I/O and run on threads
+in the caller's process, where a custom transport's state stays visible.
 """
 
 from __future__ import annotations
@@ -11,13 +15,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .agents import HttpAgentFactory, agent_from_spec
 from .environment import (
@@ -221,15 +228,21 @@ def _run_cell(plan: RunPlan, env, level, factory, replicate) -> dict:
         transcript["replicate"] = replicate
         return transcript
     except Exception as err:
-        return {
-            "kind": "error",
-            "env_id": env.env_id,
-            "level": level,
-            "agent": factory.name,
-            "replicate": replicate,
-            "seed": seed,
-            "error": f"{type(err).__name__}: {err}",
-        }
+        return _error_document(plan, env, level, factory, replicate,
+                               f"{type(err).__name__}: {err}")
+
+
+def _error_document(plan: RunPlan, env, level, factory, replicate,
+                    error: str) -> dict:
+    return {
+        "kind": "error",
+        "env_id": env.env_id,
+        "level": level,
+        "agent": factory.name,
+        "replicate": replicate,
+        "seed": cell_seed(plan.seed, env.env_id, level, factory.name, replicate),
+        "error": error,
+    }
 
 
 def _version() -> str:
@@ -245,9 +258,80 @@ def _default_parallelism(plan: RunPlan) -> int:
         workers = len(os.sched_getaffinity(0))
     else:
         workers = os.cpu_count() or 1
-    if any(isinstance(f, HttpAgentFactory) for f in plan.agents):
+    if _has_http(plan):
         workers = min(workers, HTTP_PARALLEL_CAP)
     return max(workers, 1)
+
+
+def _has_http(plan: RunPlan) -> bool:
+    return any(isinstance(f, HttpAgentFactory) for f in plan.agents)
+
+
+def _run_cells(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
+    """Yield every cell's document, in cell order."""
+    if workers > 1 and sys.platform.startswith("linux") and not _has_http(plan):
+        yield from _run_forked(plan, cells, workers)
+        return
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(_run_cell, plan, *cell) for cell in cells]
+        for future in futures:
+            yield future.result()
+
+
+# The plan and its cells inside a forked pool worker, set once by the
+# pool's initializer; tasks are cell indexes into it.
+_worker_cells: tuple[RunPlan, list] | None = None
+
+
+def _adopt_cells(plan: RunPlan, cells: list) -> None:
+    global _worker_cells
+    _worker_cells = (plan, cells)
+
+
+def _run_indexed_cell(index: int) -> dict:
+    plan, cells = _worker_cells
+    return _run_cell(plan, *cells[index])
+
+
+def _run_forked(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
+    # Fork, named explicitly: spawn and forkserver (the Linux default from
+    # Python 3.14) re-import numpy and scipy in every worker of every run.
+    # A forked worker inherits the plan through initargs, so factories,
+    # environments and transports are never pickled; only cell indexes go
+    # out and transcript dicts come back.  Chunks amortise the per-task
+    # round trip, which costs a fifth of a short cell.
+    pool = ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_cells,
+        initargs=(plan, cells),
+    )
+    done = 0
+    try:
+        documents = pool.map(_run_indexed_cell, range(len(cells)),
+                             chunksize=max(1, len(cells) // (8 * workers)))
+        for document in documents:
+            yield document
+            done += 1
+    except BrokenProcessPool:
+        pass
+    finally:
+        # BrokenProcessPool does not say which worker died; the pool keeps
+        # its worker processes in _processes until shutdown.
+        forked = sorted(pool._processes.values(), key=lambda p: p.pid)
+        # Cancel what has not started, so an interrupted run stops soon.
+        pool.shutdown(cancel_futures=True)
+    if done < len(cells):
+        # A worker died (os._exit, a signal, the OOM killer) and broke the
+        # pool; the cells without a result are logged as errors.
+        dead = ", ".join(
+            f"worker pid {p.pid} exited with code {p.exitcode}"
+            for p in forked if p.exitcode not in (0, -signal.SIGTERM)
+        ) or "a pool worker died"
+        for cell in cells[done:]:
+            yield _error_document(
+                plan, *cell, f"BrokenProcessPool: {dead} before this cell finished"
+            )
 
 
 def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
@@ -260,7 +344,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
     """
     started = time.perf_counter()
     cells = list(_cells(plan))
-    workers = plan.parallelism or _default_parallelism(plan)
+    workers = min(plan.parallelism or _default_parallelism(plan), len(cells))
 
     sink = None
     if out_dir is not None:
@@ -295,18 +379,12 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
                 "env_id": env.env_id,
                 "spec": spec_to_dict(env),
             })
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_run_cell, plan, env, level, factory, replicate)
-                for env, level, factory, replicate in cells
-            ]
-            for future in futures:
-                document = future.result()
-                if document.get("kind") == "transcript":
-                    transcripts.append(document)
-                else:
-                    errors.append(document)
-                emit(document)
+        for document in _run_cells(plan, cells, workers):
+            if document.get("kind") == "transcript":
+                transcripts.append(document)
+            else:
+                errors.append(document)
+            emit(document)
     finally:
         if sink is not None:
             sink.close()
@@ -506,7 +584,9 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
-                       help="worker count (default: usable CPU count, capped for HTTP)")
+                       help="worker count (default: usable CPU count, capped for "
+                            "HTTP); on Linux cells run on forked worker processes, "
+                            "on threads when an HTTP agent is in the plan")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")
     run_p.add_argument("--api-key-env", default=None,

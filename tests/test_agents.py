@@ -4,9 +4,11 @@ import json
 import math
 import sys
 import textwrap
+import time
 
 import pytest
 
+from eqgym import agents
 from eqgym.agents import (
     AgentTurn,
     DegenerateDesign,
@@ -29,6 +31,7 @@ from eqgym.agents import (
 )
 from eqgym.environment import bundled_environments
 from eqgym.expr import VariableDomain
+from eqgym.harness import run_session
 from eqgym.session import ACTIVE, SOLVED, new_session
 
 ENVS = {env.env_id: env for env in bundled_environments()}
@@ -328,6 +331,38 @@ def test_subprocess_death_is_transport_error(tmp_path):
             agent.act(session.observation_packet())
     finally:
         agent.close()
+
+
+def test_subprocess_hang_ends_the_session_as_a_transport_failure(tmp_path, monkeypatch):
+    path = tmp_path / "hang.py"
+    path.write_text("import sys, time\nsys.stdin.readline()\ntime.sleep(600)\n",
+                    encoding="utf-8")
+    monkeypatch.setattr(agents, "AGENT_TIMEOUT_S", 0.5)
+    started = time.monotonic()
+    transcript = run_session(
+        ENVS["hooke"], "L1", SubprocessAgentFactory(f"{sys.executable} {path}"), seed=5
+    )
+    assert time.monotonic() - started < 10
+    assert transcript["status"] == "protocol_failure"
+    assert transcript["failure_reason"] == (
+        "agent failure: agent process did not answer within 0.5 s"
+    )
+
+
+def test_subprocess_that_stops_reading_is_killed_at_the_deadline(tmp_path, monkeypatch):
+    # A document larger than the pipe buffer blocks the write itself.
+    path = tmp_path / "deaf.py"
+    path.write_text("import time\ntime.sleep(600)\n", encoding="utf-8")
+    monkeypatch.setattr(agents, "AGENT_TIMEOUT_S", 0.5)
+    agent = SubprocessAgent(f"{sys.executable} {path}")
+    started = time.monotonic()
+    try:
+        with pytest.raises(TransportError, match="did not answer within 0.5 s"):
+            agent._exchange({"padding": "x" * (1 << 20)})
+        assert agent.process.returncode is not None
+    finally:
+        agent.close()
+    assert time.monotonic() - started < 10
 
 
 # --------------------------------------------------------------------------

@@ -2,10 +2,14 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+import subprocess
+import sys
+from dataclasses import dataclass, field
+from pathlib import Path
 
 import pytest
 
+import eqgym
 from eqgym.agents import HttpAgentFactory, PowerLawAgentFactory, RandomAgentFactory
 from eqgym.environment import bundled_environments, load_spec, spec_to_dict
 from eqgym.harness import (
@@ -275,6 +279,108 @@ def test_run_record_file_lists_every_cell(tmp_path):
 
 
 # --------------------------------------------------------------------------
+# Process pool
+
+linux_only = pytest.mark.skipif(
+    not sys.platform.startswith("linux"), reason="the fork pool runs on Linux only"
+)
+
+
+@dataclass
+class CountingPowerLaw:
+    """A power-law factory that records each build in the process running it."""
+
+    name: str = "power_law"
+    builds: list = field(default_factory=list)
+
+    def build(self, session):
+        self.builds.append(session.seed)
+        return PowerLawAgentFactory().build(session)
+
+
+class ExitOnAct:
+    name = "exit_act"
+
+    def build(self, session):
+        return self
+
+    def act(self, packet):
+        os._exit(3)
+
+    def close(self):
+        pass
+
+
+@linux_only
+def test_execute_fork_pool_writes_the_thread_pool_log(tmp_path):
+    # 96 cells: at 2 workers a chunk holds 6 cells, so cells cross chunk
+    # boundaries, and crashing agents sit between the healthy ones.
+    def plan(factory, parallelism):
+        return build_plan(
+            [ENVS["hooke"], ENVS["env_716"], ENVS["env_409"]],
+            ["L1", "L2", "L3", "L4"],
+            [factory, RandomAgentFactory(), CrashOnBuild(), CrashOnAct()],
+            experiments_quota=20, seed=11, replicates=2, parallelism=parallelism,
+        )
+
+    threaded, forked = CountingPowerLaw(), CountingPowerLaw()
+    execute(plan(threaded, 1), out_dir=tmp_path / "threads")
+    record = execute(plan(forked, 2), out_dir=tmp_path / "fork")
+    assert (
+        (tmp_path / "threads" / "run.jsonl").read_bytes()
+        == (tmp_path / "fork" / "run.jsonl").read_bytes()
+    )
+    assert len(record.transcripts) == 96 and record.errors == []
+    # Agents are built in the process that runs the cell: the caller's on
+    # threads, a worker's on the pool, whose side effects stay there.
+    assert len(threaded.builds) == 24
+    assert forked.builds == []
+
+
+def test_execute_keeps_http_plans_in_the_callers_process(tmp_path):
+    exchanges = []
+    idle = json.dumps({
+        "next_experiments": [],
+        "test_hypothesis_flag": False,
+        "current_hypothesis_formula": "",
+    })
+
+    def transport(url, headers, body):
+        exchanges.append(body)
+        return json.dumps({"choices": [{"message": {"content": idle}}]})
+
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = small_plan(agents=[http, PowerLawAgentFactory()], replicates=2,
+                      parallelism=2)
+    record = execute(plan, out_dir=tmp_path / "run")
+    sessions = [t for t in record.transcripts if t["agent"] == "http"]
+    assert len(sessions) == 12
+    assert sum(t["turn_count"] for t in sessions) == len(exchanges) == 12
+
+
+@linux_only
+def test_execute_survives_a_dying_pool_worker(tmp_path):
+    plan = small_plan(agents=[PowerLawAgentFactory(), ExitOnAct()], parallelism=2)
+    record = execute(plan, out_dir=tmp_path / "run")
+    assert len(record.transcripts) + len(record.errors) == 12
+    assert {t["agent"] for t in record.transcripts} <= {"power_law"}
+    assert sum(e["agent"] == "exit_act" for e in record.errors) == 6
+    for error in record.errors:
+        assert error["error"].startswith("BrokenProcessPool: worker pid ")
+        assert "exited with code 3 before this cell finished" in error["error"]
+    lines = (tmp_path / "run" / "run.jsonl").read_text().splitlines()
+    cells = [json.loads(line) for line in lines][1 + len(plan.environments):]
+    assert [(d["env_id"], d["level"], d["agent"]) for d in cells] == [
+        (env.env_id, level, factory.name)
+        for env in plan.environments
+        for level in plan.levels
+        for factory in plan.agents
+    ]
+    summary = json.loads((tmp_path / "run" / "run_record.json").read_text())
+    assert len(summary["cells"]) == 12
+
+
+# --------------------------------------------------------------------------
 # Loading and reporting
 
 def test_load_run_round_trip(tmp_path):
@@ -394,3 +500,27 @@ def test_cli_play_unknown_env_fails_cleanly(capsys):
 
 def test_cli_report_missing_run(tmp_path, capsys):
     assert main(["report", "--run", str(tmp_path / "nope")]) == 2
+
+
+# --------------------------------------------------------------------------
+# Package entry points
+
+def run_python(*args):
+    src = str(Path(eqgym.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
+
+
+def test_python_dash_m_eqgym_runs_the_cli():
+    envs = Path(eqgym.__file__).resolve().parent / "envs"
+    proc = run_python("-m", "eqgym", "validate", "--envs", str(envs))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert "10 environments valid" in proc.stdout
+
+
+def test_import_eqgym_leaves_scipy_stats_unloaded():
+    proc = run_python("-c", "import sys, eqgym; print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
