@@ -295,7 +295,7 @@ def _run_indexed_cell(index: int) -> dict:
 
 def _run_forked(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
     # Fork, named explicitly: spawn and forkserver (the Linux default from
-    # Python 3.14) re-import numpy and scipy in every worker of every run.
+    # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
     # environments and transports are never pickled; only cell indexes go
     # out and transcript dicts come back.  Chunks amortise the per-task
