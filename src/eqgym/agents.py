@@ -256,7 +256,7 @@ def _rationalized(c: float) -> str:
 
 
 def _display_domains(session) -> dict[str, VariableDomain]:
-    by_true = session.env.domains(session.expose_dummies)
+    by_true = session.env.domains()
     return {
         display: by_true[true] for display, true in session.header.name_map.items()
     }
@@ -285,12 +285,13 @@ class PowerLawAgentFactory:
 
 # How long an agent may take over one reply, on either transport.
 AGENT_TIMEOUT_S = 120.0
+# How many replies an agent gets per turn before the session ends as a
+# protocol failure, on either transport.
+RETRY_BUDGET = 3
 
 
 class SubprocessAgent:
-    def __init__(self, command: str, retry_budget: int = 3):
-        self.command = command
-        self.retry_budget = retry_budget
+    def __init__(self, command: str):
         self.process = subprocess.Popen(
             shlex.split(command),
             stdin=subprocess.PIPE,
@@ -347,7 +348,7 @@ class SubprocessAgent:
     def act(self, packet: ObservationPacket) -> AgentTurn:
         document = packet.to_wire()
         last_error = "no reply"
-        for _ in range(self.retry_budget):
+        for _ in range(RETRY_BUDGET):
             line = self._exchange(document)
             try:
                 return parse_turn(json.loads(line))
@@ -383,25 +384,27 @@ class SubprocessAgent:
 @dataclass
 class SubprocessAgentFactory:
     command: str
-    retry_budget: int = 3
     name: str = "subprocess"
 
     def build(self, session) -> SubprocessAgent:
-        return SubprocessAgent(self.command, self.retry_budget)
+        return SubprocessAgent(self.command)
 
 
 # --------------------------------------------------------------------------
 # HTTP transport: chat-completion shaped endpoint
 
-PROMPT_DIR = Path(__file__).parent / "prompts"
+# The request's sampling settings and the researcher template are part of
+# the protocol (PROTOCOL.md), so every HTTP agent uses the same ones.
+TEMPERATURE = 0.3
+MAX_TOKENS = 4096
+PROMPT_PATH = Path(__file__).parent / "prompts" / "researcher.md"
 
 # (url, headers, body-bytes) -> response text
 Transport = Callable[[str, Mapping[str, str], bytes], str]
 
 
-def load_prompt(path: str | Path | None = None) -> str:
-    target = Path(path) if path is not None else PROMPT_DIR / "researcher.md"
-    return target.read_text(encoding="utf-8")
+def load_prompt() -> str:
+    return PROMPT_PATH.read_text(encoding="utf-8")
 
 
 def build_prompt(
@@ -465,41 +468,25 @@ def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
 
 
 class HttpAgent:
-    def __init__(
-        self,
-        endpoint: str,
-        model: str,
-        template: str,
-        temperature: float = 0.3,
-        max_tokens: int = 4096,
-        api_key_env: str = "EQGYM_API_KEY",
-        retry_budget: int = 3,
-        transport: Transport | None = None,
-    ):
-        self.endpoint = endpoint
-        self.model = model
+    def __init__(self, config: HttpAgentFactory, template: str):
+        self.config = config
         self.template = template
-        self.temperature = temperature
-        self.max_tokens = max_tokens
-        self.api_key_env = api_key_env
-        self.retry_budget = retry_budget
-        self.transport = transport if transport is not None else _urllib_transport
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
-        key = os.environ.get(self.api_key_env, "")
+        key = os.environ.get(self.config.api_key_env, "")
         if key:
             headers["Authorization"] = f"Bearer {key}"
         return headers
 
     def _complete(self, prompt: str) -> str:
         body = json.dumps({
-            "model": self.model,
+            "model": self.config.model,
             "messages": [{"role": "user", "content": prompt}],
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
         }).encode("utf-8")
-        reply = self.transport(self.endpoint, self._headers(), body)
+        reply = self.config.transport(self.config.endpoint, self._headers(), body)
         try:
             decoded = json.loads(reply)
             content = decoded["choices"][0]["message"]["content"]
@@ -512,7 +499,7 @@ class HttpAgent:
     def act(self, packet: ObservationPacket) -> AgentTurn:
         error_notice = None
         last_error = "no reply"
-        for _ in range(self.retry_budget):
+        for _ in range(RETRY_BUDGET):
             content = self._complete(build_prompt(self.template, packet, error_notice))
             try:
                 return parse_turn(extract_json_object(content))
@@ -529,34 +516,24 @@ class HttpAgent:
 class HttpAgentFactory:
     endpoint: str
     model: str = ""
-    temperature: float = 0.3
-    max_tokens: int = 4096
     api_key_env: str = "EQGYM_API_KEY"
-    retry_budget: int = 3
-    prompt_path: str | None = None
-    transport: Transport | None = None
+    transport: Transport = _urllib_transport
     name: str = "http"
 
     def build(self, session) -> HttpAgent:
-        return HttpAgent(
-            self.endpoint,
-            self.model,
-            load_prompt(self.prompt_path),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            api_key_env=self.api_key_env,
-            retry_budget=self.retry_budget,
-            transport=self.transport,
-        )
+        return HttpAgent(self, load_prompt())
 
 
-def agent_from_spec(text: str, **options):
+def agent_from_spec(text: str, *, batch: int | None = None, name: str | None = None,
+                    model: str | None = None, api_key_env: str | None = None):
     """Build an agent factory from a CLI spec.
 
     Forms: "scripted:random", "scripted:power_law",
     "subprocess:<command>", "http:<endpoint>".  The scripted names are
-    also accepted bare.  Options feed the matching factory's fields.
+    also accepted bare.  Each option that is not None feeds the matching
+    factory's field; factories without that field ignore it.
     """
+    options = dict(batch=batch, name=name, model=model, api_key_env=api_key_env)
     head, _, rest = text.partition(":")
     if head == "scripted":
         head, rest = rest, ""
@@ -567,17 +544,11 @@ def agent_from_spec(text: str, **options):
     if head == "subprocess":
         if not rest:
             raise ValueError("subprocess agent needs a command: subprocess:<command>")
-        return SubprocessAgentFactory(
-            rest, **_picked(options, ("retry_budget", "name"))
-        )
+        return SubprocessAgentFactory(rest, **_picked(options, ("name",)))
     if head == "http":
         if not rest:
             raise ValueError("http agent needs an endpoint: http:<url>")
-        picked = _picked(
-            options,
-            ("model", "temperature", "max_tokens", "api_key_env",
-             "retry_budget", "prompt_path", "name"),
-        )
+        picked = _picked(options, ("model", "api_key_env", "name"))
         # Distinct models must not collide on the default agent name.
         if "name" not in picked and picked.get("model"):
             picked["name"] = picked["model"]
@@ -586,4 +557,4 @@ def agent_from_spec(text: str, **options):
 
 
 def _picked(options: Mapping, keys: Sequence[str]) -> dict:
-    return {k: options[k] for k in keys if k in options and options[k] is not None}
+    return {k: options[k] for k in keys if options[k] is not None}

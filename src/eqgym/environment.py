@@ -128,11 +128,13 @@ class EnvironmentSpec:
     def input_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.inputs)
 
-    def controllables(self, expose_dummies: bool = False) -> tuple[VariableSpec, ...]:
-        return self.inputs + self.dummies if expose_dummies else self.inputs
+    def controllables(self) -> tuple[VariableSpec, ...]:
+        # Dummies only pad the context: each one shown would add two
+        # experiments to the power-law baseline's first turn.
+        return self.inputs
 
-    def domains(self, expose_dummies: bool = False) -> dict[str, VariableDomain]:
-        return {v.name: v.domain for v in self.controllables(expose_dummies)}
+    def domains(self) -> dict[str, VariableDomain]:
+        return {v.name: v.domain for v in self.controllables()}
 
 
 def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
@@ -327,11 +329,7 @@ def bundled_environments() -> list[EnvironmentSpec]:
     return load_directory(Path(__file__).parent / "envs")
 
 
-def run_experiment(
-    env: EnvironmentSpec,
-    assignment: Mapping[str, float],
-    expose_dummies: bool = False,
-) -> EvalOutcome:
+def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> EvalOutcome:
     """Execute one experiment against the hidden equation.
 
     The assignment must bind exactly the controllable variables (true
@@ -339,7 +337,7 @@ def run_experiment(
     DomainError with the offending variable/constraint in `subject`;
     otherwise the equation's own outcome is returned.
     """
-    controllables = env.controllables(expose_dummies)
+    controllables = env.controllables()
     expected = {v.name for v in controllables}
     got = set(assignment)
     if got != expected:
@@ -380,12 +378,8 @@ class ObservationHeader:
     name_map: dict[str, str]
 
 
-def render_observation(
-    env: EnvironmentSpec,
-    mask: PriorMask,
-    expose_dummies: bool = False,
-) -> ObservationHeader:
-    controllables = env.controllables(expose_dummies)
+def render_observation(env: EnvironmentSpec, mask: PriorMask) -> ObservationHeader:
+    controllables = env.controllables()
     if mask.show_names:
         display_names = [v.name for v in controllables]
         output_name = env.output.name

@@ -23,14 +23,11 @@ from .expr import (
 )
 
 def oracle_test(
-    env: EnvironmentSpec,
-    hypothesis: Expression,
-    seed: int = 0,
-    expose_dummies: bool = False,
+    env: EnvironmentSpec, hypothesis: Expression, seed: int = 0
 ) -> EquivalenceVerdict:
     """Judge a hypothesis (true-name space) against the hidden equation,
     over every variable the agent controls."""
-    return equivalent(hypothesis, env.equation, env.domains(expose_dummies), seed)
+    return equivalent(hypothesis, env.equation, env.domains(), seed)
 
 
 # --------------------------------------------------------------------------

@@ -166,12 +166,17 @@ def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     pos = 0
     n = len(text)
+    # The byte offset of `pos`, advanced over each stretch of text once so
+    # that tokenizing stays linear in the length of the input.
+    byte_off = 0
+    counted = 0
     while pos < n:
         ch = text[pos]
         if ch.isspace():
             pos += 1
             continue
-        byte_off = len(text[:pos].encode("utf-8"))
+        byte_off += len(text[counted:pos].encode("utf-8"))
+        counted = pos
         if text.startswith("**", pos):
             tokens.append(_Token("OP", "**", byte_off))
             pos += 2
@@ -711,9 +716,9 @@ def canonicalize(expr: Expression) -> Expression:
 # Domains and numeric equivalence
 
 # The numeric oracle compares EQUIV_POINTS seeded points and needs at least
-# EQUIV_MIN_VALID of them valid on both sides; a point agrees when the
-# relative error, against max(|truth|, EQUIV_ABS_FLOOR), is at most
-# EQUIV_REL_TOL.
+# EQUIV_MIN_VALID of them where the truth is defined; a point agrees when
+# the hypothesis is defined there too and the relative error, against
+# max(|truth|, EQUIV_ABS_FLOOR), is at most EQUIV_REL_TOL.
 EQUIV_REL_TOL = 1e-6
 EQUIV_ABS_FLOOR = 1e-12
 EQUIV_POINTS = 200
@@ -933,11 +938,14 @@ def equivalent(
     """Judge whether two expressions agree over the given domains.
 
     Structural identity of canonical forms decides immediately; otherwise
-    both sides are compared on a seeded sample, skipping points where
-    either side has a domain error.  Too few shared-validity points yield
-    a non-equivalent verdict with method "none".  The truth's canonical
-    form, the sample points and the truth's values are cached, so repeated
-    tests against one truth with one seed work on the hypothesis alone.
+    both sides are compared on a seeded sample at the points where the
+    truth is defined.  Too few such points yield a non-equivalent verdict
+    with method "none".  A point where the truth is defined and the
+    hypothesis is not counts as a disagreement, and `max_rel_error` is
+    taken over the points where both are defined (None if there are
+    none).  The truth's canonical form, the sample points and the truth's
+    values are cached, so repeated tests against one truth with one seed
+    work on the hypothesis alone.
     """
     missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
@@ -946,18 +954,22 @@ def equivalent(
         return EquivalenceVerdict(True, "canonical", 0, None, "identical canonical form")
     key = tuple(sorted(domains.items()))
     t_values, t_valid = _truth_columns(truth, key, EQUIV_POINTS, seed)
-    h_values, h_valid = evaluate_columns(
-        hypothesis, sample_columns(domains, EQUIV_POINTS, seed), EQUIV_POINTS
-    )
-    shared = h_valid & t_valid
-    t = t_values[shared]
-    rel = np.abs(h_values[shared] - t) / np.maximum(np.abs(t), EQUIV_ABS_FLOOR)
-    valid = int(np.count_nonzero(shared))
+    valid = int(np.count_nonzero(t_valid))
     if valid < EQUIV_MIN_VALID:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"
         )
-    max_rel = float(rel.max()) if valid else 0.0
+    h_values, h_valid = evaluate_columns(
+        hypothesis, sample_columns(domains, EQUIV_POINTS, seed), EQUIV_POINTS
+    )
+    shared = h_valid & t_valid
+    undefined = valid - int(np.count_nonzero(shared))
+    t = t_values[shared]
+    rel = np.abs(h_values[shared] - t) / np.maximum(np.abs(t), EQUIV_ABS_FLOOR)
+    max_rel = float(rel.max()) if rel.size else None
+    if undefined:
+        detail = f"hypothesis undefined at {undefined} of {valid} points"
+        return EquivalenceVerdict(False, "numeric", valid, max_rel, detail)
     agree = not bool(np.any(rel > EQUIV_REL_TOL))
     detail = "" if agree else f"max relative error {max_rel:.3g}"
     return EquivalenceVerdict(agree, "numeric", valid, max_rel, detail)

@@ -157,15 +157,13 @@ class Session:
         experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
         test_quota: int = DEFAULT_TEST_QUOTA,
         seed: int = 0,
-        expose_dummies: bool = False,
         agent_name: str = "",
     ):
         if experiments_quota < 0 or test_quota < 0:
             raise ValueError("quotas must be >= 0")
         self.env = env
         self.mask = mask
-        self.expose_dummies = expose_dummies
-        self.header = render_observation(env, mask, expose_dummies)
+        self.header = render_observation(env, mask)
         self.seed = seed
         self.agent_name = agent_name
         self.experiments_quota = experiments_quota
@@ -314,7 +312,7 @@ class Session:
     def _run_one(self, proposal: Mapping[str, float]) -> ExperimentRecord:
         display = {name: float(proposal[name]) for name in self._to_true}
         true_assignment = {self._to_true[d]: v for d, v in display.items()}
-        outcome = run_experiment(self.env, true_assignment, self.expose_dummies)
+        outcome = run_experiment(self.env, true_assignment)
         self.experiments_remaining -= 1
         if isinstance(outcome, Value):
             record = ExperimentRecord(display, outcome.value, None, self.turn_index)
@@ -363,9 +361,7 @@ class Session:
     def _run_oracle(self, hypothesis: HypothesisRecord) -> EquivalenceVerdict:
         self.tests_remaining -= 1
         true_expr = rename_variables(hypothesis.parsed, self._to_true)
-        verdict = evaluation.oracle_test(
-            self.env, true_expr, seed=self.seed, expose_dummies=self.expose_dummies
-        )
+        verdict = evaluation.oracle_test(self.env, true_expr, seed=self.seed)
         hypothesis.verdict = verdict
         self.last_tested = hypothesis
         if verdict.equivalent:
@@ -403,7 +399,9 @@ class Session:
                 "show_names": self.mask.show_names,
                 "show_descriptions": self.mask.show_descriptions,
             },
-            "expose_dummies": self.expose_dummies,
+            # Always false since dummies cannot be shown; the key stays
+            # until the next change to the log format.
+            "expose_dummies": False,
             "seed": self.seed,
             "quota": {
                 "experiments_quota": self.experiments_quota,
@@ -438,7 +436,6 @@ def new_session(
     experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
     test_quota: int = DEFAULT_TEST_QUOTA,
     seed: int = 0,
-    expose_dummies: bool = False,
     agent_name: str = "",
 ) -> Session:
     """Create a session; `mask` may be a PriorMask or a level label."""
@@ -453,6 +450,5 @@ def new_session(
         experiments_quota=experiments_quota,
         test_quota=test_quota,
         seed=seed,
-        expose_dummies=expose_dummies,
         agent_name=agent_name,
     )

@@ -5,6 +5,7 @@ import math
 import sys
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -313,12 +314,22 @@ def test_subprocess_retry_carries_error_notice(tmp_path):
 def test_subprocess_protocol_error_after_retries(tmp_path):
     command = agent_script(tmp_path, 'print("never valid")\n')
     session = new_session(ENVS["hooke"], "L1", seed=5)
-    agent = SubprocessAgent(command, retry_budget=3)
+    agent = SubprocessAgent(command)
+    exchanges = []
+    exchange = agent._exchange
+
+    def counted(document):
+        exchanges.append(document)
+        return exchange(document)
+
+    agent._exchange = counted
     try:
         with pytest.raises(ProtocolError):
             agent.act(session.observation_packet())
     finally:
         agent.close()
+    assert agents.RETRY_BUDGET == 3
+    assert len(exchanges) == agents.RETRY_BUDGET
 
 
 def test_subprocess_death_is_transport_error(tmp_path):
@@ -399,7 +410,10 @@ def test_http_agent_request_shape(monkeypatch):
     assert seen["headers"]["Authorization"] == "Bearer sk-test"
     assert seen["body"]["model"] == "test-model"
     assert seen["body"]["temperature"] == 0.3
+    assert seen["body"]["max_tokens"] == 4096
     prompt = seen["body"]["messages"][0]["content"]
+    researcher = Path(agents.__file__).parent / "prompts" / "researcher.md"
+    assert prompt.startswith(researcher.read_text(encoding="utf-8"))
     assert "# Current Input" in prompt
     packet_json = json.dumps(session.observation_packet().to_wire(), indent=2)
     assert packet_json in prompt
@@ -426,13 +440,18 @@ def test_http_agent_retries_then_succeeds():
 
 
 def test_http_agent_protocol_error():
+    bodies = []
+
     def transport(url, headers, body):
+        bodies.append(body)
         return chat_reply("still no json")
 
     session = new_session(ENVS["hooke"], "L1", seed=5)
-    agent = http_factory(transport, retry_budget=2).build(session)
+    agent = http_factory(transport).build(session)
     with pytest.raises(ProtocolError):
         agent.act(session.observation_packet())
+    assert agents.RETRY_BUDGET == 3
+    assert len(bodies) == agents.RETRY_BUDGET
 
 
 def test_http_agent_bad_reply_shape_is_transport_error():

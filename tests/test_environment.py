@@ -157,21 +157,6 @@ def test_dummies_context_only_by_default():
         run_experiment(env, {"beta_0": 0.1, "E": 0.0, "m": 5.0, "S_0": 1.0})
 
 
-def test_exposed_dummies_are_controllable_but_inert():
-    env = next(e for e in bundled_environments() if e.env_id == "env_310")
-    header = render_observation(env, LEVELS["L1"], expose_dummies=True)
-    assert "S_0" in header.controllable_variables
-    a = run_experiment(env, {"beta_0": 0.1, "E": 0.0, "m": 5.0, "S_0": 1.0},
-                       expose_dummies=True)
-    b = run_experiment(env, {"beta_0": 0.1, "E": 0.0, "m": 5.0, "S_0": 50.0},
-                       expose_dummies=True)
-    assert a == b
-    out = run_experiment(env, {"beta_0": 0.1, "E": 0.0, "m": 5.0, "S_0": -1.0},
-                         expose_dummies=True)
-    assert isinstance(out, DomainError)
-    assert out.subject == "S_0"
-
-
 def test_mask_presets():
     assert LEVELS["L1"] == PriorMask(True, True, True)
     assert LEVELS["L2"] == PriorMask(False, True, True)

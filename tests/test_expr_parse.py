@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -98,6 +99,21 @@ def test_byte_offset_counts_utf8_bytes():
     with pytest.raises(ExpressionSyntaxError) as err:
         parse("x π")
     assert err.value.offset == 2
+
+
+def test_byte_offset_after_a_wide_space():
+    # U+3000 is whitespace of three UTF-8 bytes.
+    with pytest.raises(ExpressionSyntaxError) as err:
+        parse("x\u3000+ * y")
+    assert err.value.offset == 6
+
+
+def test_long_input_is_rejected_in_linear_time():
+    text = "F/k" + "+0*F" * 100000  # 400 KB, far too tall a tree
+    started = time.perf_counter()
+    with pytest.raises(ExpressionSyntaxError, match="too deeply"):
+        parse(text)
+    assert time.perf_counter() - started < 10
 
 
 @pytest.mark.parametrize("text", ["", "(a", "a b", "a +", "()", "a ** ", "1e999", "x!"])

@@ -1,10 +1,12 @@
 import json
+import math
 from types import SimpleNamespace
 
 import pytest
 
 from eqgym.agents import agent_from_spec
 from eqgym.environment import LEVELS, bundled_environments
+from eqgym.expr import EQUIV_POINTS
 from eqgym.harness import run_session
 from eqgym.session import (
     ExperimentRecord,
@@ -225,23 +227,31 @@ def test_masked_oracle_uses_display_names():
     assert session.status == "solved"
 
 
-def test_exposed_dummy_is_judged_over_its_domain():
-    session = new_session(env_by_id("pendulum"), "L1", test_quota=2,
-                          expose_dummies=True)
-    assert list(session.observation_packet().controllable_variables) == [
-        "l", "g", "theta_0"]
-    out = session.submit_turn(
-        turn(flag=True, formula="2*np.pi*np.sqrt(l/g)*theta_0"))
-    assert out.oracle is not None and not out.oracle.equivalent
-    assert out.oracle.method == "numeric"
+def test_hypothesis_naming_a_dummy_costs_no_test():
+    session = new_session(env_by_id("pendulum"), "L1", test_quota=2)
+    assert list(session.observation_packet().controllable_variables) == ["l", "g"]
     out = session.submit_turn(
         turn(flag=True, formula="2*np.pi*np.sqrt(l/g)*theta_0/theta_0"))
-    assert out.oracle is not None and out.oracle.equivalent
-    assert out.oracle.method == "numeric"
-    assert session.status == "solved"
+    assert out.oracle is None
+    assert out.parse_failure == "unknown identifiers: theta_0"
+    assert session.tests_remaining == 2
     hypotheses = session.transcript()["hypotheses"]
-    assert [(h["tested"], h["equivalent"], h["method"]) for h in hypotheses] == [
-        (True, False, "numeric"), (True, True, "numeric")]
+    assert [(h["parsed"], h["tested"]) for h in hypotheses] == [(False, False)]
+
+
+def test_hypothesis_undefined_where_the_law_is_defined_is_rejected():
+    # F - 5 < 0 on most of hooke's F domain, so the hypothesis agrees with
+    # F / k only where it is defined.
+    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    out = session.submit_turn(
+        turn(flag=True, formula="F/k*np.sqrt(F-5)/np.sqrt(F-5)"))
+    assert out.oracle is not None and not out.oracle.equivalent
+    assert out.oracle.method == "numeric"
+    assert out.oracle.points_compared == EQUIV_POINTS
+    assert out.oracle.detail.startswith("hypothesis undefined at ")
+    assert math.isfinite(out.oracle.max_rel_error)
+    assert session.status == "active"
+    assert session.tests_remaining == 1
 
 
 def test_test_skipped_notices():
@@ -369,13 +379,10 @@ def test_new_session_level_labels():
     assert direct.mask == LEVELS["L2"]
 
 
-def test_dummy_values_recorded_but_inert():
-    session = new_session(env_by_id("pendulum"), "L1", expose_dummies=True)
-    assert list(session.header.controllable_variables) == ["l", "g", "theta_0"]
-    out = session.submit_turn(turn([
-        {"l": 1.0, "g": 9.8, "theta_0": 0.1},
-        {"l": 1.0, "g": 9.8, "theta_0": 0.2},
-    ]))
-    a, b = out.executed
-    assert a.value == b.value
-    assert a.assignment["theta_0"] == 0.1
+def test_proposal_binding_a_dummy_is_skipped_free():
+    session = new_session(env_by_id("pendulum"), "L1", experiments_quota=5)
+    out = session.submit_turn(turn([{"l": 1.0, "g": 9.8, "theta_0": 0.1}]))
+    assert out.executed == [] and out.malformed == 1
+    assert out.notices == [
+        "experiment proposal skipped: bad variable set: unknown ['theta_0']"]
+    assert session.experiments_remaining == 5
