@@ -281,6 +281,67 @@ class PowerLawAgentFactory:
 
 
 # --------------------------------------------------------------------------
+# Packet wire text, shared by the subprocess and HTTP transports
+
+class PacketEncoder:
+    """One session's packets as JSON text, each history entry encoded once.
+
+    `encode(packet, error_notice)` returns `json.dumps(doc, indent=indent)`
+    byte for byte, where doc is `packet.to_wire()` with `error_notice`
+    appended when one is given.  A session's packets share its history
+    entry dicts (see ObservationPacket), so an entry is matched by
+    identity with the one sent at its position last time and its text is
+    reused; only new entries are encoded.  Any other entry, such as one
+    from `ObservationPacket.from_wire`, is encoded afresh.
+    """
+
+    def __init__(self, indent: int | None = None):
+        self.indent = indent
+        self._sent: list[dict] = []  # history entries encoded so far, in order
+        self._texts: list[str] = []  # their text, indented for the history array
+
+    def encode(self, packet: ObservationPacket, error_notice: str | None = None) -> str:
+        history = packet.historical_experiments
+        sent, texts = self._sent, self._texts
+        kept, limit = 0, min(len(sent), len(history))
+        while kept < limit and sent[kept] is history[kept]:
+            kept += 1
+        del sent[kept:], texts[kept:]
+        for entry in history[kept:]:
+            sent.append(entry)
+            texts.append(self._dumps(entry, 2))
+        members = [
+            ("problem_description", self._dumps(packet.problem_description, 1)),
+            ("controllable_variables", self._dumps(packet.controllable_variables, 1)),
+            ("observable_variable", self._dumps(packet.observable_variable, 1)),
+            ("historical_experiments", self._join("[]", texts, 1)),
+            ("quota", self._dumps(packet.quota, 1)),
+        ]
+        if packet.last_oracle_result is not None:
+            members.append(("last_oracle_result", self._dumps(packet.last_oracle_result, 1)))
+        if error_notice is not None:
+            members.append(("error_notice", self._dumps(error_notice, 1)))
+        return self._join("{}", [f'"{key}": {text}' for key, text in members], 0)
+
+    def _dumps(self, value, depth: int) -> str:
+        # JSON text holds no raw newline outside its indentation, so the
+        # value's own lines can be shifted to its nesting depth.
+        text = json.dumps(value, indent=self.indent)
+        if self.indent is None:
+            return text
+        return text.replace("\n", "\n" + " " * (self.indent * depth))
+
+    def _join(self, brackets: str, items: list[str], depth: int) -> str:
+        if not items:
+            return brackets
+        if self.indent is None:
+            return brackets[0] + ", ".join(items) + brackets[1]
+        inner = "\n" + " " * (self.indent * (depth + 1))
+        outer = "\n" + " " * (self.indent * depth)
+        return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+
+
+# --------------------------------------------------------------------------
 # Subprocess transport: one process per session, line-delimited JSON
 
 # How long an agent may take over one reply, on either transport.
@@ -309,6 +370,7 @@ class SubprocessAgent:
         self._closed = threading.Event()
         self._watchdog = threading.Thread(target=self._watch, daemon=True)
         self._watchdog.start()
+        self._encoder = PacketEncoder()
 
     def _watch(self) -> None:
         while True:
@@ -322,20 +384,21 @@ class SubprocessAgent:
             if self._closed.wait(wait):
                 return
 
-    def _exchange(self, document: dict) -> str:
+    def _exchange(self, line: str) -> str:
+        """Send one encoded packet line (no newline); return the reply line."""
         if self.process.poll() is not None:
             raise TransportError(
                 f"agent process exited with code {self.process.returncode}"
             )
         self._deadline = time.monotonic() + AGENT_TIMEOUT_S
         try:
-            self.process.stdin.write(json.dumps(document) + "\n")
+            self.process.stdin.write(line + "\n")
             self.process.stdin.flush()
-            line = self.process.stdout.readline()
+            reply = self.process.stdout.readline()
         except OSError as err:
             problem = f"agent process unreachable: {err}"
         else:
-            problem = None if line else "agent process closed its output"
+            problem = None if reply else "agent process closed its output"
         finally:
             self._deadline = None
         if self._timed_out:
@@ -343,20 +406,19 @@ class SubprocessAgent:
             problem = f"agent process did not answer within {AGENT_TIMEOUT_S:g} s"
         if problem is not None:
             raise TransportError(problem)
-        return line
+        return reply
 
     def act(self, packet: ObservationPacket) -> AgentTurn:
-        document = packet.to_wire()
+        line = self._encoder.encode(packet)
         last_error = "no reply"
         for _ in range(RETRY_BUDGET):
-            line = self._exchange(document)
+            reply = self._exchange(line)
             try:
-                return parse_turn(json.loads(line))
+                return parse_turn(json.loads(reply))
             except (json.JSONDecodeError, MalformedTurn) as err:
                 last_error = str(err)
-                document = packet.to_wire()
-                document["error_notice"] = (
-                    f"previous reply was not a valid turn: {last_error}"
+                line = self._encoder.encode(
+                    packet, f"previous reply was not a valid turn: {last_error}"
                 )
         raise ProtocolError(f"agent kept replying out of protocol: {last_error}")
 
@@ -408,10 +470,17 @@ def load_prompt() -> str:
 
 
 def build_prompt(
-    template: str, packet: ObservationPacket, error_notice: str | None = None
+    template: str,
+    packet: ObservationPacket,
+    error_notice: str | None = None,
+    encoder: PacketEncoder | None = None,
 ) -> str:
+    """The prompt for one HTTP exchange.  `encoder` is the agent's
+    `PacketEncoder(indent=2)`, which holds the session's encoded history;
+    without one the packet is encoded through a fresh encoder."""
+    packet_text = (encoder or PacketEncoder(indent=2)).encode(packet)
     parts = [template, "\n# Current Input\n"]
-    parts.append("```json\n" + json.dumps(packet.to_wire(), indent=2) + "\n```\n")
+    parts.append("```json\n" + packet_text + "\n```\n")
     if error_notice:
         parts.append(f"\n# Notice\n\n{error_notice}\n")
     return "\n".join(parts)
@@ -471,6 +540,7 @@ class HttpAgent:
     def __init__(self, config: HttpAgentFactory, template: str):
         self.config = config
         self.template = template
+        self._encoder = PacketEncoder(indent=2)
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -500,7 +570,9 @@ class HttpAgent:
         error_notice = None
         last_error = "no reply"
         for _ in range(RETRY_BUDGET):
-            content = self._complete(build_prompt(self.template, packet, error_notice))
+            content = self._complete(
+                build_prompt(self.template, packet, error_notice, self._encoder)
+            )
             try:
                 return parse_turn(extract_json_object(content))
             except MalformedTurn as err:

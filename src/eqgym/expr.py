@@ -14,7 +14,7 @@ import operator
 import random
 import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Iterator, Mapping, Union
 
 import numpy as np
 
@@ -162,8 +162,9 @@ class _Token:
     offset: int  # byte offset into the UTF-8 encoding of the source
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
+def _tokenize(text: str) -> Iterator[_Token]:
+    """Yield the tokens of `text` on demand, then one END token, so a parse
+    that fails early never scans the rest of the text."""
     pos = 0
     n = len(text)
     # The byte offset of `pos`, advanced over each stretch of text once so
@@ -178,21 +179,21 @@ def _tokenize(text: str) -> list[_Token]:
         byte_off += len(text[counted:pos].encode("utf-8"))
         counted = pos
         if text.startswith("**", pos):
-            tokens.append(_Token("OP", "**", byte_off))
+            yield _Token("OP", "**", byte_off)
             pos += 2
             continue
         if ch in "+-*/()":
-            tokens.append(_Token("OP", ch, byte_off))
+            yield _Token("OP", ch, byte_off)
             pos += 1
             continue
         m = _NUMBER_RE.match(text, pos)
         if m:
-            tokens.append(_Token("NUMBER", m.group(), byte_off))
+            yield _Token("NUMBER", m.group(), byte_off)
             pos = m.end()
             continue
         m = _NAME_RE.match(text, pos)
         if m:
-            tokens.append(_Token("NAME", m.group(), byte_off))
+            yield _Token("NAME", m.group(), byte_off)
             pos = m.end()
             continue
         raise ExpressionSyntaxError(
@@ -200,24 +201,34 @@ def _tokenize(text: str) -> list[_Token]:
             byte_off,
             ("number", "identifier", "operator", "'('", "')'"),
         )
-    tokens.append(_Token("END", "", len(text.encode("utf-8"))))
-    return tokens
+    yield _Token("END", "", len(text.encode("utf-8")))
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.index = 0
+    """Recursive descent over a lazy token stream.
+
+    Each rule returns its node with the node's tree height (a leaf is 1),
+    and every node built is checked against _MAX_DEPTH at once: a long
+    flat chain such as `a+b+...` is built by a loop, not by recursion, so
+    the recursion cap alone would not bound it.
+    """
+
+    def __init__(self, text: str):
+        self._tokens = _tokenize(text)
+        self._ahead: list[_Token] = []  # pulled, not yet consumed
         self.depth = 0
 
     def peek(self, ahead: int = 0) -> _Token:
-        i = min(self.index + ahead, len(self.tokens) - 1)
-        return self.tokens[i]
+        while len(self._ahead) <= ahead:
+            if self._ahead and self._ahead[-1].kind == "END":
+                return self._ahead[-1]
+            self._ahead.append(next(self._tokens))
+        return self._ahead[ahead]
 
     def advance(self) -> _Token:
-        tok = self.tokens[self.index]
+        tok = self.peek()
         if tok.kind != "END":
-            self.index += 1
+            self._ahead.pop(0)
         return tok
 
     def fail(self, expected: tuple[str, ...]) -> ExpressionSyntaxError:
@@ -241,23 +252,37 @@ class _Parser:
     def leave(self):
         self.depth -= 1
 
-    def expression(self) -> Expression:
+    @staticmethod
+    def _built(node: Expression, height: int) -> tuple[Expression, int]:
+        if height > _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}", 0, ()
+            )
+        return node, height
+
+    def expression(self) -> tuple[Expression, int]:
         self.enter()
-        node = self.multiplicative()
+        node, height = self.multiplicative()
         while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
             op = "add" if self.advance().text == "+" else "sub"
-            node = Binary(op, node, self.multiplicative())
+            right, right_height = self.multiplicative()
+            node, height = self._built(
+                Binary(op, node, right), 1 + max(height, right_height)
+            )
         self.leave()
-        return node
+        return node, height
 
-    def multiplicative(self) -> Expression:
-        node = self.unary()
+    def multiplicative(self) -> tuple[Expression, int]:
+        node, height = self.unary()
         while self.peek().kind == "OP" and self.peek().text in ("*", "/"):
             op = "mul" if self.advance().text == "*" else "div"
-            node = Binary(op, node, self.unary())
-        return node
+            right, right_height = self.unary()
+            node, height = self._built(
+                Binary(op, node, right), 1 + max(height, right_height)
+            )
+        return node, height
 
-    def unary(self) -> Expression:
+    def unary(self) -> tuple[Expression, int]:
         self.enter()
         try:
             if self.peek().kind == "OP" and self.peek().text == "-":
@@ -269,36 +294,40 @@ class _Parser:
                     self.peek(1).kind == "OP" and self.peek(1).text == "**"
                 ):
                     self.advance()
-                    return Constant(-self._number(nxt))
-                return Unary("neg", self.unary())
+                    return Constant(-self._number(nxt)), 1
+                operand, height = self.unary()
+                return self._built(Unary("neg", operand), height + 1)
             return self.power()
         finally:
             self.leave()
 
-    def power(self) -> Expression:
-        base = self.atom()
+    def power(self) -> tuple[Expression, int]:
+        base, height = self.atom()
         if self.peek().kind == "OP" and self.peek().text == "**":
             self.advance()
-            return Binary("pow", base, self.unary())
-        return base
+            exponent, exponent_height = self.unary()
+            return self._built(
+                Binary("pow", base, exponent), 1 + max(height, exponent_height)
+            )
+        return base, height
 
-    def atom(self) -> Expression:
+    def atom(self) -> tuple[Expression, int]:
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Constant(self._number(tok))
+            return Constant(self._number(tok)), 1
         if tok.kind == "NAME":
             self.advance()
             return self._name(tok)
         if tok.kind == "OP" and tok.text == "(":
             self.advance()
             self.enter()
-            node = self.expression()
+            built = self.expression()
             self.leave()
             closing = self.peek()
             if closing.kind == "OP" and closing.text == ")":
                 self.advance()
-                return node
+                return built
             raise self.fail(("')'",))
         raise self.fail(("number", "identifier", "'('", "'-'"))
 
@@ -310,13 +339,13 @@ class _Parser:
             )
         return v
 
-    def _name(self, tok: _Token) -> Expression:
+    def _name(self, tok: _Token) -> tuple[Expression, int]:
         name = tok.text
         calls = self.peek().kind == "OP" and self.peek().text == "("
         if name == "np.pi":
             if calls:
                 raise UnknownFunctionError(name, tok.offset)
-            return NamedConstant("pi")
+            return NamedConstant("pi"), 1
         if "." in name:
             prefix, _, fn = name.partition(".")
             if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
@@ -326,53 +355,32 @@ class _Parser:
             if name not in _FUNCTION_OPS:
                 raise UnknownFunctionError(name, tok.offset)
             return self._call(name)
-        return Variable(name)
+        return Variable(name), 1
 
-    def _call(self, fn: str) -> Expression:
+    def _call(self, fn: str) -> tuple[Expression, int]:
         self.advance()  # consume '('
         self.enter()
-        arg = self.expression()
+        arg, height = self.expression()
         self.leave()
         closing = self.peek()
         if not (closing.kind == "OP" and closing.text == ")"):
             raise self.fail(("')'",))
         self.advance()
-        return Unary(_FUNCTION_OPS[fn], arg)
+        return self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
 
 
 def parse(text: str) -> Expression:
     """Parse formula text into an expression tree.
 
     Raises ExpressionSyntaxError (with byte offset and expected-token set)
-    or UnknownFunctionError; never returns a partial tree.
+    or UnknownFunctionError; never returns a partial tree.  The text is
+    read only as far as the first problem, which is the one reported.
     """
-    parser = _Parser(_tokenize(text))
-    node = parser.expression()
+    parser = _Parser(text)
+    node, _ = parser.expression()
     if parser.peek().kind != "END":
         raise parser.fail(("operator", "end of input"))
-    if _taller_than(node, _MAX_DEPTH):
-        # A long flat chain such as `a+b+...` is built by a loop, not by
-        # recursion, so only the finished tree shows its height.
-        raise ExpressionSyntaxError(
-            f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}", 0, ()
-        )
     return node
-
-
-def _taller_than(expr: Expression, limit: int) -> bool:
-    # Level by level, without recursion, so any tree can be measured.
-    level = [expr]
-    for _ in range(limit):
-        children: list[Expression] = []
-        for node in level:
-            if isinstance(node, Unary):
-                children.append(node.operand)
-            elif isinstance(node, Binary):
-                children += (node.left, node.right)
-        if not children:
-            return False
-        level = children
-    return True
 
 
 # --------------------------------------------------------------------------

@@ -51,7 +51,9 @@ class ObservationPacket:
     `historical_experiments` is a fresh list, but its entries are the
     session's own history dicts, shared with every later packet and the
     transcript: in-process agents must treat them as read-only.
-    `to_wire` copies them.
+    `to_wire` copies them.  Remote agents' encoders (`agents.PacketEncoder`)
+    keep the JSON text of each entry they sent, matched by identity, so a
+    mutated entry would also leave the wire text stale.
     """
 
     problem_description: str

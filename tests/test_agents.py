@@ -5,6 +5,7 @@ import math
 import sys
 import textwrap
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -33,7 +34,7 @@ from eqgym.agents import (
 from eqgym.environment import bundled_environments
 from eqgym.expr import VariableDomain
 from eqgym.harness import run_session
-from eqgym.session import ACTIVE, SOLVED, new_session
+from eqgym.session import ACTIVE, SOLVED, ObservationPacket, new_session
 
 ENVS = {env.env_id: env for env in bundled_environments()}
 
@@ -361,7 +362,7 @@ def test_subprocess_hang_ends_the_session_as_a_transport_failure(tmp_path, monke
 
 
 def test_subprocess_that_stops_reading_is_killed_at_the_deadline(tmp_path, monkeypatch):
-    # A document larger than the pipe buffer blocks the write itself.
+    # A line larger than the pipe buffer blocks the write itself.
     path = tmp_path / "deaf.py"
     path.write_text("import time\ntime.sleep(600)\n", encoding="utf-8")
     monkeypatch.setattr(agents, "AGENT_TIMEOUT_S", 0.5)
@@ -369,7 +370,7 @@ def test_subprocess_that_stops_reading_is_killed_at_the_deadline(tmp_path, monke
     started = time.monotonic()
     try:
         with pytest.raises(TransportError, match="did not answer within 0.5 s"):
-            agent._exchange({"padding": "x" * (1 << 20)})
+            agent._exchange("x" * (1 << 20))
         assert agent.process.returncode is not None
     finally:
         agent.close()
@@ -476,6 +477,182 @@ def test_bundled_prompt_loads_and_mentions_the_wire_fields():
     for token in ("next_experiments", "test_hypothesis_flag",
                   "current_hypothesis_formula", "quota"):
         assert token in text
+
+
+# --------------------------------------------------------------------------
+# Packet wire text
+
+# One deterministic policy answers on both transports.  Its experiments
+# fall in and out of the domains (and across env_409's r < a), every
+# fourth turn carries a malformed proposal, every third turn tests a
+# hypothesis, and every fifth turn, from turn 3, is first answered with a
+# reply that is not a turn.
+WIRE_POLICY = textwrap.dedent('''\
+    import json
+    import sys
+
+    NOT_A_TURN = "not a turn"
+
+
+    def reply(doc, turn, retry):
+        if turn % 5 == 3 and not retry:
+            return NOT_A_TURN
+        names = list(doc["controllable_variables"])
+        points = [
+            {name: 10.0 ** ((turn + i) % 5 - 2) * (0.3 + 0.4 * (j if i == 2 else 3 - j))
+             for j, name in enumerate(names)}
+            for i in range(3)
+        ]
+        if turn % 4 == 1:
+            del points[0][names[0]]
+        return json.dumps({
+            "next_experiments": points[: doc["quota"]["experiments_quota"]],
+            "test_hypothesis_flag": turn % 3 == 2,
+            "current_hypothesis_formula": f"{names[0]} * 2",
+        })
+
+
+    if __name__ == "__main__":
+        turn = 0
+        for line in sys.stdin:
+            doc = json.loads(line)
+            text = reply(doc, turn, "error_notice" in doc)
+            turn += text != NOT_A_TURN
+            sys.stdout.write(text + "\\n")
+            sys.stdout.flush()
+''')
+
+
+def policy_agent(kind, tmp_path):
+    """A subprocess or HTTP agent that answers from WIRE_POLICY."""
+    if kind == "subprocess":
+        path = tmp_path / "policy.py"
+        path.write_text(WIRE_POLICY, encoding="utf-8")
+        return SubprocessAgent(f"{sys.executable} {path}")
+    policy = {"__name__": "wire_policy"}
+    exec(WIRE_POLICY, policy)
+    turns = [0]
+
+    def transport(url, headers, body):
+        prompt = json.loads(body)["messages"][0]["content"]
+        tail = prompt.rpartition("\n# Current Input\n")[2]
+        doc = json.loads(tail.split("```json\n", 1)[1].partition("\n```")[0])
+        text = policy["reply"](doc, turns[0], "\n# Notice\n" in tail)
+        turns[0] += text != policy["NOT_A_TURN"]
+        return chat_reply(text)
+
+    return http_factory(transport).build(None)
+
+
+def drive_packets(agent, session, rebuild_every=0):
+    """Run a session to its end; every `rebuild_every`-th packet goes to
+    the agent through to_wire/from_wire.  Returns the packets acted on."""
+    packets = []
+    try:
+        while session.status == ACTIVE and session.turn_index < 40:
+            packet = session.observation_packet()
+            if rebuild_every and session.turn_index % rebuild_every == 1:
+                packet = ObservationPacket.from_wire(packet.to_wire())
+            packets.append(packet)
+            session.submit_turn(agent.act(packet))
+    finally:
+        agent.close()
+    return packets
+
+
+def reference_prompt(template, packet, error_notice=None):
+    parts = [template, "\n# Current Input\n"]
+    parts.append("```json\n" + json.dumps(packet.to_wire(), indent=2) + "\n```\n")
+    if error_notice:
+        parts.append(f"\n# Notice\n\n{error_notice}\n")
+    return "\n".join(parts)
+
+
+@pytest.mark.parametrize("level", ["L1", "L4"])
+@pytest.mark.parametrize("kind", ["subprocess", "http"])
+def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, kind, level):
+    env = ENVS["env_409"]
+    env = replace(env, context=env.context + " Près du bord, ε₀ ≈ 8.85 pF/m (円盤).")
+    session = new_session(env, level, experiments_quota=40, test_quota=4, seed=5)
+    agent = policy_agent(kind, tmp_path)
+    sent = []  # (text, the same exchange encoded from to_wire)
+    if kind == "subprocess":
+        lines = []
+        exchange = agent._exchange
+
+        def recorded(line):
+            lines.append(line)
+            return exchange(line)
+
+        agent._exchange = recorded
+    else:
+        build = agents.build_prompt
+
+        def recorded(template, packet, error_notice=None, encoder=None):
+            prompt = build(template, packet, error_notice, encoder)
+            sent.append((prompt, reference_prompt(template, packet, error_notice)))
+            return prompt
+
+        monkeypatch.setattr(agents, "build_prompt", recorded)
+    packets = drive_packets(agent, session, rebuild_every=3)
+    if kind == "subprocess":
+        index = -1
+        for line in lines:
+            notice = json.loads(line).get("error_notice")
+            index += notice is None  # a retry resends the last packet
+            doc = packets[index].to_wire()
+            if notice is not None:
+                doc["error_notice"] = notice
+            sent.append((line, json.dumps(doc)))
+
+    assert [text for text, _ in sent] == [want for _, want in sent]
+    # The session went through every kind of packet content.
+    assert len(sent) > len(packets) >= 9  # retries resent packets
+    assert any(p.last_oracle_result for p in packets)
+    assert any(not entry.get("invalid") for entry in session._history)
+    assert {entry["invalid"].partition(":")[0]
+            for entry in session._history if "invalid" in entry} == {
+        "out-of-domain", "validity"}
+    assert any("proposal skipped" in text for _, text in session.notices)
+    if level == "L1":
+        assert "\\u03b5\\u2080" in sent[0][0]
+
+
+def test_packet_encoder_re_encodes_entries_it_did_not_send():
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    first = session.observation_packet()
+    session.submit_turn(AgentTurn([{"F": 1.0, "k": 2.0}, {"F": 3.0, "k": 4.0}], False, ""))
+    packet = session.observation_packet()
+    doc = packet.to_wire()
+    doc["historical_experiments"][0]["F"] = 9.0
+    edited = ObservationPacket.from_wire(doc)
+    for indent in (None, 2):
+        encoder = agents.PacketEncoder(indent)
+        for sent in (packet, edited, packet, first, packet):
+            assert encoder.encode(sent) == json.dumps(sent.to_wire(), indent=indent)
+
+
+@pytest.mark.parametrize("kind", ["subprocess", "http"])
+def test_each_history_entry_is_encoded_once_per_agent(tmp_path, monkeypatch, kind):
+    # Re-encoding the whole history every turn made a session's wire cost
+    # grow with turns × history.
+    encoded = []
+    dumps = json.dumps
+
+    def counting(obj, *args, **kwargs):
+        encoded.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    session = new_session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
+    agent = policy_agent(kind, tmp_path)
+    monkeypatch.setattr(json, "dumps", counting)
+    drive_packets(agent, session)
+    monkeypatch.undo()
+    assert len(session._history) == 60
+    # The last turn's experiments end the session and are never sent.
+    last = session.turn_index - 1
+    assert [sum(obj is entry for obj in encoded) for entry in session._history] == [
+        int(record.turn_index < last) for record in session.records]
 
 
 # --------------------------------------------------------------------------

@@ -109,11 +109,16 @@ def test_byte_offset_after_a_wide_space():
 
 
 def test_long_input_is_rejected_in_linear_time():
-    text = "F/k" + "+0*F" * 100000  # 400 KB, far too tall a tree
-    started = time.perf_counter()
-    with pytest.raises(ExpressionSyntaxError, match="too deeply"):
-        parse(text)
-    assert time.perf_counter() - started < 10
+    # 4 MB, far too tall a tree.  Tokens are pulled as the parser needs
+    # them and the chain is rejected once it passes the cap, so neither
+    # the rest of the text nor a bad character at its end is read.
+    text = "F/k" + "+0*F" * 1_000_000
+    for probe in (text, text + " $"):
+        started = time.perf_counter()
+        with pytest.raises(ExpressionSyntaxError, match="tree height exceeds 200") as info:
+            parse(probe)
+        assert time.perf_counter() - started < 2
+        assert info.value.offset == 0
 
 
 @pytest.mark.parametrize("text", ["", "(a", "a b", "a +", "()", "a ** ", "1e999", "x!"])
@@ -132,9 +137,10 @@ def test_tree_height_capped():
     # A flat chain needs no parser recursion, but its tree is as tall as
     # it is long: "F/k" has height 2 and each "+0*F" adds one level.
     assert parse("F/k" + "+0*F" * 198) is not None  # height 200
-    for repeats in (199, 3000):
-        with pytest.raises(ExpressionSyntaxError, match="too deeply"):
-            parse("F/k" + "+0*F" * repeats)
+    for text in ("F/k" + "+0*F" * 199, "F/k" + "+0*F" * 3000,
+                 "-(" + "F/k" + "+0*F" * 198 + ")", "F*" * 200 + "F)"):
+        with pytest.raises(ExpressionSyntaxError, match="tree height exceeds 200"):
+            parse(text)
 
 
 def test_node_validation():

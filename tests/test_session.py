@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -180,7 +181,9 @@ def test_hypothesis_parse_failure_not_fatal():
 
 def test_tall_formula_is_a_parse_failure():
     session = new_session(env_by_id("hooke"), "L1", test_quota=2)
-    out = session.submit_turn(turn(flag=True, formula="F/k" + "+0*F" * 3000))
+    started = time.perf_counter()
+    out = session.submit_turn(turn(flag=True, formula="F/k" + "+0*F" * 1_000_000))
+    assert time.perf_counter() - started < 2  # a 4 MB formula, rejected early
     assert out.oracle is None
     assert "too deeply" in out.parse_failure
     assert any(n.startswith("hypothesis not usable") for n in out.notices)
