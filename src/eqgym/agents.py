@@ -476,8 +476,9 @@ def build_prompt(
     encoder: PacketEncoder | None = None,
 ) -> str:
     """The prompt for one HTTP exchange.  `encoder` is the agent's
-    `PacketEncoder(indent=2)`, which holds the session's encoded history;
-    without one the packet is encoded through a fresh encoder."""
+    `PacketEncoder(indent=2)`, which holds the session's encoded history.
+    `HttpAgent` always passes its own; the default, a fresh encoder that
+    encodes the whole packet, is for direct callers such as tests."""
     packet_text = (encoder or PacketEncoder(indent=2)).encode(packet)
     parts = [template, "\n# Current Input\n"]
     parts.append("```json\n" + packet_text + "\n```\n")

@@ -11,6 +11,7 @@ from eqgym.expr import (
     Unary,
     UnknownFunctionError,
     Variable,
+    _tokenize,
     parse,
     render,
 )
@@ -119,6 +120,40 @@ def test_long_input_is_rejected_in_linear_time():
             parse(probe)
         assert time.perf_counter() - started < 2
         assert info.value.offset == 0
+
+
+def balanced_formula(height: int) -> str:
+    """A formula of 2**height leaves whose tree is only height + 1 tall,
+    so the parser reads all of it.  The U+3000 spaces (three UTF-8 bytes
+    each) keep byte offsets apart from character offsets."""
+    text = "x"
+    for _ in range(height):
+        text = "(" + text + " +\u3000" + text + ")"
+    return text
+
+
+def test_whole_text_is_tokenized_in_linear_time():
+    # 300 KB, read to its end: a per-token re-encoding of the text read
+    # so far takes tens of seconds on either probe.
+    text = "F +\u3000" * 50_000 + "F"
+    started = time.perf_counter()
+    assert sum(1 for _ in _tokenize(text)) == 100_002
+    assert time.perf_counter() - started < 5
+    text = balanced_formula(15)
+    started = time.perf_counter()
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character") as info:
+        parse(text + " $")
+    assert time.perf_counter() - started < 5
+    assert info.value.offset == len((text + " ").encode("utf-8"))
+
+
+def test_first_problem_in_the_text_is_reported():
+    with pytest.raises(UnknownFunctionError):
+        parse("foo(x) $")
+    with pytest.raises(ExpressionSyntaxError, match="unexpected character"):
+        parse("$ foo(x)")
+    with pytest.raises(ExpressionSyntaxError, match="syntax error at byte 2"):
+        parse("x ) $")
 
 
 @pytest.mark.parametrize("text", ["", "(a", "a b", "a +", "()", "a ** ", "1e999", "x!"])

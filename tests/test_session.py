@@ -193,6 +193,21 @@ def test_tall_formula_is_a_parse_failure():
     assert session.status == "solved"
 
 
+def test_long_balanced_formula_is_read_to_its_end():
+    # 2**15 leaves but only 16 levels tall, so nothing stops the parse
+    # before the bad character at the end of its 260 KB.
+    formula = "F"
+    for _ in range(15):
+        formula = "(" + formula + " +\u3000" + formula + ")"
+    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    started = time.perf_counter()
+    out = session.submit_turn(turn(flag=True, formula=formula + " $"))
+    assert time.perf_counter() - started < 5
+    assert out.oracle is None
+    offset = len((formula + " ").encode("utf-8"))
+    assert f"unexpected character '$' at byte {offset}" in out.parse_failure
+
+
 def test_true_names_are_unknown_under_l4():
     session = new_session(env_by_id("hooke"), "L4")
     out = session.submit_turn(turn(formula="F / k"))
