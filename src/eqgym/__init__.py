@@ -3,7 +3,7 @@ quota-managed sessions, prior masking, and agent harnessing."""
 
 from __future__ import annotations
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .expr import (
     DomainError,

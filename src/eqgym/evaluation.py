@@ -84,21 +84,31 @@ def fit_report(
     else:
         r2 = 1.0 - ss_res / ss_tot
     mse = ss_res / n
-    if n >= 2:
-        # Imported here: scipy.stats takes most of `import eqgym`, and no
-        # run calls fit_report.
-        from scipy.stats import kendalltau
-
-        tau = kendalltau(pred, obs, variant="b").statistic
-        tau = None if math.isnan(tau) else float(tau)
-    else:
-        tau = None
+    tau = _kendall_tau_b(pred, obs)
     keep = np.abs(obs) > 1e-12
     if np.any(keep):
         mape = float(np.mean(np.abs(pred[keep] - obs[keep]) / np.abs(obs[keep])))
     else:
         mape = None
     return FitReport(r2, mse, tau, mape, n, skipped)
+
+
+def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float | None:
+    # (concordant - discordant) / sqrt(pairs untied in x * pairs untied in y),
+    # one row of pairs at a time so memory stays linear in the history.
+    # None when either side is constant or holds a NaN, where scipy's
+    # kendalltau gives NaN.
+    s, untied_x, untied_y = 0.0, 0, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(len(x) - 1):
+            dx = np.sign(x[i + 1:] - x[i])
+            dy = np.sign(y[i + 1:] - y[i])
+            s += float(dx @ dy)
+            untied_x += np.count_nonzero(dx)
+            untied_y += np.count_nonzero(dy)
+    if math.isnan(s) or untied_x == 0 or untied_y == 0:
+        return None
+    return s / math.sqrt(untied_x * untied_y)
 
 
 # --------------------------------------------------------------------------
@@ -110,14 +120,11 @@ DIFFICULTY_GROUPS = ("1-3", "4-6", "7-9", "10+")
 @dataclass(frozen=True)
 class Difficulty:
     variable_count: int
-    equation_length: int
     group: str
 
 
 def difficulty(env: EnvironmentSpec) -> Difficulty:
-    """Classify by input count; equation length is measured on the
-    canonical rendering so formatting choices cannot move an environment
-    between buckets."""
+    """Classify by input count."""
     count = len(env.inputs)
     if count <= 3:
         group = "1-3"
@@ -127,7 +134,7 @@ def difficulty(env: EnvironmentSpec) -> Difficulty:
         group = "7-9"
     else:
         group = "10+"
-    return Difficulty(count, len(render(canonicalize(env.equation))), group)
+    return Difficulty(count, group)
 
 
 # --------------------------------------------------------------------------

@@ -580,10 +580,12 @@ def _flatten(op: str, expr: Expression) -> list[Expression]:
 
 
 def _chain(op: str, parts: list[Expression]) -> Expression:
-    node = parts[0]
-    for part in parts[1:]:
-        node = Binary(op, node, part)
-    return node
+    # Balanced, so a chain of n parts adds only ceil(log2 n) levels and the
+    # recursive walks over canonical trees stay shallow.
+    if len(parts) == 1:
+        return parts[0]
+    mid = len(parts) // 2
+    return Binary(op, _chain(op, parts[:mid]), _chain(op, parts[mid:]))
 
 
 def _split_coefficient(term: Expression) -> tuple[float, Expression]:
@@ -619,29 +621,26 @@ def _fold_constants(values: list[float], combine) -> tuple[float | None, list[fl
 
 def _canon_add(parts: list[Expression]) -> Expression:
     constants: list[float] = []
-    order: list[Expression] = []  # cores in first-seen order
-    coeffs: dict[Expression, float] = {}
+    coeffs: dict[Expression, list[float]] = {}  # cores in first-seen order
     for part in parts:
         if isinstance(part, Constant):
             constants.append(part.value)
             continue
         coeff, core = _split_coefficient(part)
-        if core in coeffs:
-            coeffs[core] += coeff
-        else:
-            order.append(core)
-            coeffs[core] = coeff
+        coeffs.setdefault(core, []).append(coeff)
     terms: list[Expression] = []
-    for core in order:
-        coeff = coeffs[core]
-        if coeff == 0.0:
-            if _is_total(core):
-                continue
-            terms.append(_with_coefficient(0.0, core))
-        elif coeff == 1.0:
-            terms.append(core)
-        else:
-            terms.append(_with_coefficient(coeff, core))
+    for core, values in coeffs.items():
+        # Like terms whose coefficients overflow when summed stay apart.
+        folded, leftover = _fold_constants(values, lambda a, b: a + b)
+        for coeff in leftover or [folded]:
+            if coeff == 0.0:
+                if _is_total(core):
+                    continue
+                terms.append(_with_coefficient(0.0, core))
+            elif coeff == 1.0:
+                terms.append(core)
+            else:
+                terms.append(_with_coefficient(coeff, core))
     folded, leftover = _fold_constants(constants, lambda a, b: a + b)
     if folded is not None and folded != 0.0:
         terms.append(Constant(folded))
@@ -914,11 +913,6 @@ def _eval_columns(expr, columns, n):
 
 
 @functools.lru_cache(maxsize=64)
-def _canonical_truth(truth: Expression) -> Expression:
-    return canonicalize(truth)
-
-
-@functools.lru_cache(maxsize=64)
 def _truth_columns(
     truth: Expression, key: tuple, n: int, seed: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -931,7 +925,7 @@ def _truth_columns(
 @dataclass(frozen=True)
 class EquivalenceVerdict:
     equivalent: bool
-    method: str  # "canonical" | "numeric" | "none"
+    method: str  # "numeric" | "none"
     points_compared: int
     max_rel_error: float | None = None
     detail: str = ""
@@ -945,21 +939,19 @@ def equivalent(
 ) -> EquivalenceVerdict:
     """Judge whether two expressions agree over the given domains.
 
-    Structural identity of canonical forms decides immediately; otherwise
-    both sides are compared on a seeded sample at the points where the
-    truth is defined.  Too few such points yield a non-equivalent verdict
-    with method "none".  A point where the truth is defined and the
-    hypothesis is not counts as a disagreement, and `max_rel_error` is
-    taken over the points where both are defined (None if there are
-    none).  The truth's canonical form, the sample points and the truth's
-    values are cached, so repeated tests against one truth with one seed
-    work on the hypothesis alone.
+    Every verdict is decided on a seeded sample, at the points where the
+    truth is defined, even for a hypothesis that is the truth rewritten:
+    `F/k + 0*exp(1000*F)` reduces to `F/k` on paper but overflows at most
+    points.  Too few such points yield a non-equivalent verdict with
+    method "none".  A point where the truth is defined and the hypothesis
+    is not counts as a disagreement, and `max_rel_error` is taken over
+    the points where both are defined (None if there are none).  The
+    sample points and the truth's values are cached, so repeated tests
+    against one truth with one seed work on the hypothesis alone.
     """
     missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
-    if canonicalize(hypothesis) == _canonical_truth(truth):
-        return EquivalenceVerdict(True, "canonical", 0, None, "identical canonical form")
     key = tuple(sorted(domains.items()))
     t_values, t_valid = _truth_columns(truth, key, EQUIV_POINTS, seed)
     valid = int(np.count_nonzero(t_valid))

@@ -4,6 +4,7 @@ from eqgym.expr import (
     Binary,
     Constant,
     DomainError,
+    Unary,
     Value,
     Variable,
     canonicalize,
@@ -59,6 +60,34 @@ def test_zero_coefficient_keeps_error_regions():
     out = evaluate(reduced, {"x": -1.0})
     assert isinstance(out, DomainError)
     assert evaluate(reduced, {"x": 3.0}) == Value(0.0)
+
+
+def test_like_terms_that_overflow_stay_apart():
+    # Merged, the coefficient would be 2e308, which is not a float.
+    expr = parse("1e308*x + 1e308*x")
+    reduced = canonicalize(expr)
+    assert canonicalize(reduced) == reduced
+    for x in (1e-10, -3e-9, 0.5):
+        assert evaluate(reduced, {"x": x}) == evaluate(expr, {"x": x})
+
+
+def _height(expr):
+    if isinstance(expr, Binary):
+        return 1 + max(_height(expr.left), _height(expr.right))
+    if isinstance(expr, Unary):
+        return 1 + _height(expr.operand)
+    return 1
+
+
+def test_long_sums_build_balanced_trees():
+    # 4,096 terms x**i (height 2 each) in one sum: ceil(log2 4096) = 12
+    # more levels, where a left-deep chain would need 4,095.
+    terms = [f"x**{i}" for i in range(2, 4098)]
+    while len(terms) > 1:
+        terms = [f"({a} + {b})" for a, b in zip(terms[::2], terms[1::2])]
+    reduced = canon(terms[0])
+    assert _height(reduced) == 14
+    assert canonicalize(reduced) == reduced
 
 
 def test_mul_by_zero_not_collapsed():

@@ -272,6 +272,22 @@ def test_hypothesis_undefined_where_the_law_is_defined_is_rejected():
     assert session.tests_remaining == 1
 
 
+@pytest.mark.parametrize("formula", [
+    "F/k + 0*np.exp(F*1000)",
+    "F/k*(1 + 0*np.exp(1e3*F))",
+    "F/k + 1e300*F*F - 1e300*F*F",
+])
+def test_hypothesis_that_overflows_where_the_law_is_defined_is_rejected(formula):
+    # Each reduces to F / k on paper, but overflows at most of the points.
+    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    out = session.submit_turn(turn(flag=True, formula=formula))
+    assert out.oracle is not None and not out.oracle.equivalent
+    assert out.oracle.method == "numeric"
+    assert out.oracle.points_compared == EQUIV_POINTS
+    assert out.oracle.detail.startswith("hypothesis undefined at ")
+    assert session.status == "active"
+
+
 def test_test_skipped_notices():
     session = new_session(env_by_id("hooke"), "L1", test_quota=1)
     out = session.submit_turn(turn(flag=True))
