@@ -8,6 +8,7 @@ a killed run leaves a readable prefix.
 Scripted and subprocess cells are CPU-bound Python, so on Linux they run
 on a fork-started process pool; HTTP cells wait on I/O and run on threads
 in the caller's process, where a custom transport's state stays visible.
+A mixed plan runs both at once, and they share one worker budget.
 """
 
 from __future__ import annotations
@@ -250,32 +251,77 @@ def _version() -> str:
     return __version__
 
 
-def _default_parallelism(plan: RunPlan) -> int:
+def _default_parallelism() -> int:
     # Count the CPUs this process may run on, which a container or taskset
     # can pin below os.cpu_count(); sched_getaffinity is absent on macOS
     # and Windows.
     if hasattr(os, "sched_getaffinity"):
-        workers = len(os.sched_getaffinity(0))
+        return max(len(os.sched_getaffinity(0)), 1)
+    return os.cpu_count() or 1
+
+
+def _split_budget(plan: RunPlan, threaded: list[bool],
+                  budget: int) -> tuple[int, int]:
+    """Return the fork pool's processes and the caller's threads.
+
+    threaded marks the cells that must run in the caller (HTTP cells).  On
+    Linux with a budget above one, the other cells go to the fork pool and
+    the two pools split the budget by their share of the cells, at least
+    one worker each, so the sum never exceeds it.  Running both at the full
+    budget oversubscribes the CPUs and lengthens the turn-gap tail.
+    """
+    http = sum(threaded)
+    if budget > 1 and sys.platform.startswith("linux") and http < len(threaded):
+        share = round(budget * http / len(threaded))
+        threads = min(max(share, 1), budget - 1) if http else 0
+        processes = budget - threads
     else:
-        workers = os.cpu_count() or 1
-    if _has_http(plan):
-        workers = min(workers, HTTP_PARALLEL_CAP)
-    return max(workers, 1)
+        processes, threads = 0, budget
+    if http:
+        # A default budget counts CPUs, which say nothing of how many
+        # requests an HTTP endpoint should take at once.
+        threads = min(threads, plan.parallelism or HTTP_PARALLEL_CAP)
+    return processes, threads
 
 
-def _has_http(plan: RunPlan) -> bool:
-    return any(isinstance(f, HttpAgentFactory) for f in plan.agents)
+def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
+    """Yield every cell's document, in cell order.
 
-
-def _run_cells(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
-    """Yield every cell's document, in cell order."""
-    if workers > 1 and sys.platform.startswith("linux") and not _has_http(plan):
-        yield from _run_forked(plan, cells, workers)
-        return
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_run_cell, plan, *cell) for cell in cells]
-        for future in futures:
-            yield future.result()
+    HTTP cells run on threads in the caller, where a custom transport's
+    state stays visible; on Linux the other cells run on a fork-started
+    process pool beside them (see _split_budget).
+    """
+    threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
+    processes, threads = _split_budget(plan, threaded, budget)
+    if not processes:
+        threaded = [True] * len(cells)
+    fork_pool = thread_pool = None
+    try:
+        if processes:
+            # Fork first: the pool forks all its workers on its first
+            # submit, before the threads below start, so no worker inherits
+            # a lock that one of them held at the fork.
+            fork_pool, forked = _run_forked(
+                plan, [cell for cell, t in zip(cells, threaded) if not t], processes
+            )
+        if threads:
+            thread_pool = ThreadPoolExecutor(max_workers=threads,
+                                             thread_name_prefix="eqgym-cell")
+            futures = iter([
+                thread_pool.submit(_run_cell, plan, *cell)
+                for cell, t in zip(cells, threaded) if t
+            ])
+        for on_thread in threaded:
+            yield next(futures).result() if on_thread else next(forked)
+    finally:
+        # Cancel what has not started in either pool before waiting on
+        # either, so an interrupted run stops soon.
+        if thread_pool is not None:
+            thread_pool.shutdown(wait=False, cancel_futures=True)
+        if fork_pool is not None:
+            fork_pool.shutdown(cancel_futures=True)
+        if thread_pool is not None:
+            thread_pool.shutdown()
 
 
 # The plan and its cells inside a forked pool worker, set once by the
@@ -293,7 +339,11 @@ def _run_indexed_cell(index: int) -> dict:
     return _run_cell(plan, *cells[index])
 
 
-def _run_forked(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
+def _run_forked(plan: RunPlan, cells: list,
+                workers: int) -> tuple[ProcessPoolExecutor, Iterator[dict]]:
+    """Start the pool, submit every cell now, and return the pool with an
+    iterator over the cells' documents in order.  The caller shuts the pool
+    down."""
     # Fork, named explicitly: spawn and forkserver (the Linux default from
     # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
@@ -306,24 +356,29 @@ def _run_forked(plan: RunPlan, cells: list, workers: int) -> Iterator[dict]:
         initializer=_adopt_cells,
         initargs=(plan, cells),
     )
-    done = 0
     try:
         documents = pool.map(_run_indexed_cell, range(len(cells)),
                              chunksize=max(1, len(cells) // (8 * workers)))
+    except BaseException:
+        pool.shutdown(cancel_futures=True)
+        raise
+    return pool, _forked_documents(plan, cells, pool, documents)
+
+
+def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
+                      documents: Iterator[dict]) -> Iterator[dict]:
+    done = 0
+    try:
         for document in documents:
             yield document
             done += 1
     except BrokenProcessPool:
-        pass
-    finally:
+        # A worker died (os._exit, a signal, the OOM killer) and broke the
+        # pool; the cells without a result are logged as errors.
         # BrokenProcessPool does not say which worker died; the pool keeps
         # its worker processes in _processes until shutdown.
         forked = sorted(pool._processes.values(), key=lambda p: p.pid)
-        # Cancel what has not started, so an interrupted run stops soon.
         pool.shutdown(cancel_futures=True)
-    if done < len(cells):
-        # A worker died (os._exit, a signal, the OOM killer) and broke the
-        # pool; the cells without a result are logged as errors.
         dead = ", ".join(
             f"worker pid {p.pid} exited with code {p.exitcode}"
             for p in forked if p.exitcode not in (0, -signal.SIGTERM)
@@ -344,7 +399,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
     """
     started = time.perf_counter()
     cells = list(_cells(plan))
-    workers = min(plan.parallelism or _default_parallelism(plan), len(cells))
+    workers = min(plan.parallelism or _default_parallelism(), len(cells))
 
     sink = None
     if out_dir is not None:
@@ -584,9 +639,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
-                       help="worker count (default: usable CPU count, capped for "
-                            "HTTP); on Linux cells run on forked worker processes, "
-                            "on threads when an HTTP agent is in the plan")
+                       help="worker budget (default: usable CPU count); on Linux "
+                            "non-HTTP cells run on forked worker processes and "
+                            "HTTP cells on threads, splitting the budget by their "
+                            "share of the cells; the default caps the threads at "
+                            f"{HTTP_PARALLEL_CAP}")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")
     run_p.add_argument("--api-key-env", default=None,

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +17,10 @@ from eqgym.harness import (
     HTTP_PARALLEL_CAP,
     EmptyRun,
     PlanError,
+    _cells,
     _default_parallelism,
+    _run_cells,
+    _split_budget,
     build_plan,
     cell_seed,
     execute,
@@ -108,15 +112,40 @@ def test_plan_hash_tracks_content():
 
 
 def test_default_parallelism_honours_cpu_affinity(monkeypatch):
-    plan = build_plan([ENVS["hooke"]], ["L1"], [PowerLawAgentFactory()])
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    assert _default_parallelism(plan) == 2
-    http = build_plan([ENVS["hooke"]], ["L1"], [HttpAgentFactory("http://localhost:1")])
+    assert _default_parallelism() == 2
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(32)))
-    assert _default_parallelism(http) == HTTP_PARALLEL_CAP
+    assert _default_parallelism() == 32
     monkeypatch.delattr(os, "sched_getaffinity")
-    assert _default_parallelism(plan) == 64
+    assert _default_parallelism() == 64
+
+
+@pytest.mark.parametrize("agents, parallelism, budget, split", [
+    # No HTTP cell: the whole budget forks (threads only off Linux).
+    (["power_law"], None, 32, (32, 0)),
+    # Only HTTP cells: threads, capped when the budget counts CPUs.
+    (["http"], None, 32, (0, HTTP_PARALLEL_CAP)),
+    (["http"], 16, 16, (0, 16)),
+    # Mixed: split by share of the cells, at least one each, the thread
+    # share capped only when the budget is the default.
+    (["power_law", "http"], 2, 2, (1, 1)),
+    (["power_law", "http"], None, 32, (16, HTTP_PARALLEL_CAP)),
+    (["power_law", "http"], 32, 32, (16, 16)),
+    (["power_law", "random", "random", "http"], 4, 4, (3, 1)),
+    (["power_law"] * 9 + ["http"], 2, 2, (1, 1)),
+    (["http"] * 9 + ["power_law"], 4, 4, (1, 3)),
+    # One worker runs every cell on one thread.
+    (["power_law", "http"], 1, 1, (0, 1)),
+])
+def test_fork_pool_and_threads_share_one_budget(agents, parallelism, budget, split):
+    plan = build_plan([ENVS["hooke"]], ["L1"], [PowerLawAgentFactory()],
+                      parallelism=parallelism)
+    threaded = [agent == "http" for agent in agents]
+    if sys.platform.startswith("linux") or split[0] == 0:
+        assert _split_budget(plan, threaded, budget) == split
+    processes, threads = _split_budget(plan, threaded, budget)
+    assert processes + threads <= budget
 
 
 # --------------------------------------------------------------------------
@@ -311,6 +340,36 @@ class ExitOnAct:
         pass
 
 
+class ChatTransport:
+    """An in-process HTTP endpoint: tests the hypothesis 2 until the test
+    quota is spent, then idles.  Records the thread that served each call."""
+
+    def __init__(self):
+        self.threads = []
+        self._lock = threading.Lock()
+
+    def __call__(self, url, headers, body):
+        with self._lock:
+            self.threads.append(threading.current_thread().name)
+        spent = '"test_quota": 0' in json.loads(body)["messages"][0]["content"]
+        content = json.dumps({
+            "next_experiments": [],
+            "test_hypothesis_flag": not spent,
+            "current_hypothesis_formula": "" if spent else "2",
+        })
+        return json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+def mixed_plan(agents, parallelism):
+    return small_plan(agents=agents, test_quota=2, parallelism=parallelism)
+
+
+def cell_order(run_dir, plan):
+    lines = (run_dir / "run.jsonl").read_text().splitlines()
+    cells = [json.loads(line) for line in lines][1 + len(plan.environments):]
+    return [(d["env_id"], d["level"], d["agent"]) for d in cells]
+
+
 @linux_only
 def test_execute_fork_pool_writes_the_thread_pool_log(tmp_path):
     # 96 cells: at 2 workers a chunk holds 6 cells, so cells cross chunk
@@ -368,9 +427,7 @@ def test_execute_survives_a_dying_pool_worker(tmp_path):
     for error in record.errors:
         assert error["error"].startswith("BrokenProcessPool: worker pid ")
         assert "exited with code 3 before this cell finished" in error["error"]
-    lines = (tmp_path / "run" / "run.jsonl").read_text().splitlines()
-    cells = [json.loads(line) for line in lines][1 + len(plan.environments):]
-    assert [(d["env_id"], d["level"], d["agent"]) for d in cells] == [
+    assert cell_order(tmp_path / "run", plan) == [
         (env.env_id, level, factory.name)
         for env in plan.environments
         for level in plan.levels
@@ -378,6 +435,92 @@ def test_execute_survives_a_dying_pool_worker(tmp_path):
     ]
     summary = json.loads((tmp_path / "run" / "run_record.json").read_text())
     assert len(summary["cells"]) == 12
+
+
+def test_closing_the_cell_stream_cancels_queued_thread_cells():
+    transport = ChatTransport()
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = build_plan(bundled_environments(), ["L1", "L2", "L3", "L4"], [http],
+                      test_quota=2, parallelism=2)
+    cells = list(_cells(plan))
+    assert len(cells) == 40
+    stream = _run_cells(plan, cells, 2)
+    assert next(stream)["turn_count"] == 3
+    stream.close()
+    # The cell read and at most one running on each of the two threads.
+    assert len(transport.threads) <= 3 * 3
+
+
+@linux_only
+def test_mixed_plan_writes_the_same_log_at_any_parallelism(tmp_path):
+    logs = []
+    for parallelism in (2, 1):
+        counting, transport = CountingPowerLaw(), ChatTransport()
+        http = HttpAgentFactory("inproc://test", transport=transport)
+        record = execute(mixed_plan([counting, http], parallelism),
+                         out_dir=tmp_path / str(parallelism))
+        logs.append((tmp_path / str(parallelism) / "run.jsonl").read_bytes())
+        sessions = [t for t in record.transcripts if t["agent"] == "http"]
+        assert len(sessions) == 6 and record.errors == []
+        # The transport in the caller sees every HTTP turn.
+        assert sum(t["turn_count"] for t in sessions) == len(transport.threads) == 18
+        # Power-law cells run on the pool at 2 workers, in the caller at 1.
+        assert len(counting.builds) == (0 if parallelism == 2 else 6)
+    assert logs[0] == logs[1]
+
+
+@linux_only
+def test_mixed_plan_forks_before_any_thread_and_keeps_the_budget(tmp_path):
+    forks = []
+    armed = [True]
+
+    def before_fork():
+        if armed[0]:
+            forks.append((threading.active_count(),
+                          [t.name for t in threading.enumerate()]))
+
+    os.register_at_fork(before=before_fork)
+    transport = ChatTransport()
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = mixed_plan([PowerLawAgentFactory(), http], parallelism=2)
+    threads_before = threading.active_count()
+    try:
+        record = execute(plan, out_dir=tmp_path / "run")
+    finally:
+        armed[0] = False
+    assert len(record.transcripts) == 12 and record.errors == []
+    # One worker process and one cell thread: the budget of 2 holds.
+    assert len(forks) == 1
+    assert len(set(transport.threads)) == 1
+    assert transport.threads[0].startswith("eqgym-cell")
+    # No thread of this run, not even the pool's own, existed at the fork.
+    for count, names in forks:
+        assert count == threads_before
+        assert not [name for name in names if name.startswith("eqgym-cell")]
+
+
+@linux_only
+def test_mixed_plan_survives_a_dying_pool_worker(tmp_path):
+    transport = ChatTransport()
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = mixed_plan([PowerLawAgentFactory(), ExitOnAct(), http], parallelism=2)
+    record = execute(plan, out_dir=tmp_path / "run")
+    assert len(record.transcripts) + len(record.errors) == 18
+    # HTTP cells run in the caller and finish whatever the pool does.
+    sessions = [t for t in record.transcripts if t["agent"] == "http"]
+    assert len(sessions) == 6
+    assert sum(t["turn_count"] for t in sessions) == len(transport.threads)
+    assert {e["agent"] for e in record.errors} <= {"power_law", "exit_act"}
+    assert sum(e["agent"] == "exit_act" for e in record.errors) == 6
+    for error in record.errors:
+        assert error["error"].startswith("BrokenProcessPool: worker pid ")
+        assert "exited with code 3 before this cell finished" in error["error"]
+    assert cell_order(tmp_path / "run", plan) == [
+        (env.env_id, level, factory.name)
+        for env in plan.environments
+        for level in plan.levels
+        for factory in plan.agents
+    ]
 
 
 # --------------------------------------------------------------------------
