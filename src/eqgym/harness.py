@@ -15,13 +15,15 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import multiprocessing
 import os
 import signal
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
@@ -260,28 +262,30 @@ def _default_parallelism() -> int:
     return os.cpu_count() or 1
 
 
-def _split_budget(plan: RunPlan, threaded: list[bool],
-                  budget: int) -> tuple[int, int]:
-    """Return the fork pool's processes and the caller's threads.
+def _split_budget(threaded: list[bool], budget: int,
+                  capped: bool) -> tuple[int, int]:
+    """Return the fork pool's processes and the caller's cell threads.
 
     threaded marks the cells that must run in the caller (HTTP cells).  On
-    Linux with a budget above one, the other cells go to the fork pool and
-    the two pools split the budget by their share of the cells, at least
-    one worker each, so the sum never exceeds it.  Running both at the full
-    budget oversubscribes the CPUs and lengthens the turn-gap tail.
+    Linux with a budget above one, the other cells go to the fork pool.
+    The pool gets the budget less the HTTP cells' share of it, at least one
+    worker each and no more processes than forked cells; running both
+    pools at the full budget oversubscribes the CPUs and lengthens the
+    turn-gap tail.  There are as many threads as an HTTP-only plan gets,
+    but _run_cells starts an HTTP cell only on budget that busy fork
+    workers leave free, so HTTP cells take over the share of idle ones.
+    capped means the budget is the default CPU count, which says nothing
+    of how many requests an endpoint should take at once: then
+    HTTP_PARALLEL_CAP bounds the threads and the pool gets the rest.
     """
     http = sum(threaded)
+    threads = min(budget, HTTP_PARALLEL_CAP) if http and capped else budget
     if budget > 1 and sys.platform.startswith("linux") and http < len(threaded):
-        share = round(budget * http / len(threaded))
-        threads = min(max(share, 1), budget - 1) if http else 0
-        processes = budget - threads
-    else:
-        processes, threads = 0, budget
-    if http:
-        # A default budget counts CPUs, which say nothing of how many
-        # requests an HTTP endpoint should take at once.
-        threads = min(threads, plan.parallelism or HTTP_PARALLEL_CAP)
-    return processes, threads
+        if not http:
+            return budget, 0
+        share = min(max(round(budget * http / len(threaded)), 1), budget - 1, threads)
+        return min(budget - share, len(threaded) - http), threads
+    return 0, threads
 
 
 def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
@@ -289,43 +293,67 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
 
     HTTP cells run on threads in the caller, where a custom transport's
     state stays visible; on Linux the other cells run on a fork-started
-    process pool beside them (see _split_budget).
+    process pool beside them (see _split_budget).  A thread starts its
+    cell only while fewer than budget cells run on both pools together.
     """
     threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
-    processes, threads = _split_budget(plan, threaded, budget)
+    processes, threads = _split_budget(threaded, budget, plan.parallelism is None)
     if not processes:
         threaded = [True] * len(cells)
+    # The budget not held by fork workers.  The pool hands a worker's
+    # share over once fewer chunks remain than it has workers.
+    slots = threading.Semaphore(budget - processes)
+    stopped = threading.Event()
     fork_pool = thread_pool = None
     try:
         if processes:
             # Fork first: the pool forks all its workers on its first
             # submit, before the threads below start, so no worker inherits
             # a lock that one of them held at the fork.
-            fork_pool, forked = _run_forked(
-                plan, [cell for cell, t in zip(cells, threaded) if not t], processes
-            )
+            forked_cells = [cell for cell, t in zip(cells, threaded) if not t]
+            fork_pool, chunks = _run_forked(plan, forked_cells, processes)
+            remaining = itertools.count(len(chunks) - 1, -1)
+
+            def hand_over(_chunk) -> None:
+                if next(remaining) < processes:
+                    slots.release()
+
+            for chunk in chunks:
+                chunk.add_done_callback(hand_over)
+            forked = _forked_documents(plan, forked_cells, fork_pool, chunks)
         if threads:
             thread_pool = ThreadPoolExecutor(max_workers=threads,
                                              thread_name_prefix="eqgym-cell")
             futures = iter([
-                thread_pool.submit(_run_cell, plan, *cell)
+                thread_pool.submit(_run_in_slot, slots, stopped, plan, cell)
                 for cell, t in zip(cells, threaded) if t
             ])
         for on_thread in threaded:
             yield next(futures).result() if on_thread else next(forked)
     finally:
         # Cancel what has not started in either pool before waiting on
-        # either, so an interrupted run stops soon.
+        # either, so an interrupted run stops soon; threads still waiting
+        # for a slot wake up and return without running their cell.
+        stopped.set()
         if thread_pool is not None:
             thread_pool.shutdown(wait=False, cancel_futures=True)
+            slots.release(threads)
         if fork_pool is not None:
             fork_pool.shutdown(cancel_futures=True)
         if thread_pool is not None:
             thread_pool.shutdown()
 
 
+def _run_in_slot(slots: threading.Semaphore, stopped: threading.Event,
+                 plan: RunPlan, cell) -> dict | None:
+    with slots:
+        if not stopped.is_set():
+            return _run_cell(plan, *cell)
+    return None
+
+
 # The plan and its cells inside a forked pool worker, set once by the
-# pool's initializer; tasks are cell indexes into it.
+# pool's initializer; tasks are ranges of cell indexes into it.
 _worker_cells: tuple[RunPlan, list] | None = None
 
 
@@ -334,44 +362,47 @@ def _adopt_cells(plan: RunPlan, cells: list) -> None:
     _worker_cells = (plan, cells)
 
 
-def _run_indexed_cell(index: int) -> dict:
+def _run_indexed_cells(start: int, stop: int) -> list[dict]:
     plan, cells = _worker_cells
-    return _run_cell(plan, *cells[index])
+    return [_run_cell(plan, *cells[index]) for index in range(start, stop)]
 
 
 def _run_forked(plan: RunPlan, cells: list,
-                workers: int) -> tuple[ProcessPoolExecutor, Iterator[dict]]:
-    """Start the pool, submit every cell now, and return the pool with an
-    iterator over the cells' documents in order.  The caller shuts the pool
-    down."""
+                workers: int) -> tuple[ProcessPoolExecutor, list[Future]]:
+    """Start the pool, submit every cell now, and return the pool with the
+    futures of its chunks, in cell order.  The caller shuts the pool down."""
     # Fork, named explicitly: spawn and forkserver (the Linux default from
     # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
-    # environments and transports are never pickled; only cell indexes go
-    # out and transcript dicts come back.  Chunks amortise the per-task
-    # round trip, which costs a fifth of a short cell.
+    # environments and transports are never pickled; only index ranges go
+    # out and lists of transcript dicts come back.  Chunks amortise the
+    # per-task round trip, which costs a fifth of a short cell.
     pool = ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt_cells,
         initargs=(plan, cells),
     )
+    size = max(1, len(cells) // (8 * workers))
     try:
-        documents = pool.map(_run_indexed_cell, range(len(cells)),
-                             chunksize=max(1, len(cells) // (8 * workers)))
+        chunks = [
+            pool.submit(_run_indexed_cells, start, min(start + size, len(cells)))
+            for start in range(0, len(cells), size)
+        ]
     except BaseException:
         pool.shutdown(cancel_futures=True)
         raise
-    return pool, _forked_documents(plan, cells, pool, documents)
+    return pool, chunks
 
 
 def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
-                      documents: Iterator[dict]) -> Iterator[dict]:
+                      chunks: list[Future]) -> Iterator[dict]:
     done = 0
     try:
-        for document in documents:
-            yield document
-            done += 1
+        for chunk in chunks:
+            for document in chunk.result():
+                yield document
+                done += 1
     except BrokenProcessPool:
         # A worker died (os._exit, a signal, the OOM killer) and broke the
         # pool; the cells without a result are logged as errors.
@@ -640,9 +671,10 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
                        help="worker budget (default: usable CPU count); on Linux "
-                            "non-HTTP cells run on forked worker processes and "
-                            "HTTP cells on threads, splitting the budget by their "
-                            "share of the cells; the default caps the threads at "
+                            "non-HTTP cells run on forked worker processes, which "
+                            "get the budget less the HTTP cells' share, and HTTP "
+                            "cells on threads, which use the budget the busy "
+                            "workers leave free; the default caps the threads at "
                             f"{HTTP_PARALLEL_CAP}")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")

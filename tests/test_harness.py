@@ -5,7 +5,8 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import pytest
@@ -121,31 +122,32 @@ def test_default_parallelism_honours_cpu_affinity(monkeypatch):
     assert _default_parallelism() == 64
 
 
-@pytest.mark.parametrize("agents, parallelism, budget, split", [
-    # No HTTP cell: the whole budget forks (threads only off Linux).
-    (["power_law"], None, 32, (32, 0)),
+@pytest.mark.parametrize("forked, http, budget, capped, split", [
+    # No HTTP cell: the whole budget forks.
+    (32, 0, 32, True, (32, 0)),
     # Only HTTP cells: threads, capped when the budget counts CPUs.
-    (["http"], None, 32, (0, HTTP_PARALLEL_CAP)),
-    (["http"], 16, 16, (0, 16)),
-    # Mixed: split by share of the cells, at least one each, the thread
-    # share capped only when the budget is the default.
-    (["power_law", "http"], 2, 2, (1, 1)),
-    (["power_law", "http"], None, 32, (16, HTTP_PARALLEL_CAP)),
-    (["power_law", "http"], 32, 32, (16, 16)),
-    (["power_law", "random", "random", "http"], 4, 4, (3, 1)),
-    (["power_law"] * 9 + ["http"], 2, 2, (1, 1)),
-    (["http"] * 9 + ["power_law"], 4, 4, (1, 3)),
+    (0, 32, 32, True, (0, HTTP_PARALLEL_CAP)),
+    (0, 16, 16, False, (0, 16)),
+    # Mixed: the pool gets the budget less the HTTP cells' share, at least
+    # one worker each; there are as many threads as without the pool.
+    (20, 20, 2, False, (1, 2)),
+    (20, 20, 32, False, (16, 32)),
+    (30, 10, 4, False, (3, 4)),
+    (36, 4, 2, False, (1, 2)),
+    (4, 36, 4, False, (1, 4)),
+    # The cap bounds the threads, and the pool gets the rest of the
+    # budget, but no more processes than forked cells.
+    (200, 200, 32, True, (24, HTTP_PARALLEL_CAP)),
+    (10, 90, 32, True, (10, HTTP_PARALLEL_CAP)),
     # One worker runs every cell on one thread.
-    (["power_law", "http"], 1, 1, (0, 1)),
+    (1, 1, 1, False, (0, 1)),
 ])
-def test_fork_pool_and_threads_share_one_budget(agents, parallelism, budget, split):
-    plan = build_plan([ENVS["hooke"]], ["L1"], [PowerLawAgentFactory()],
-                      parallelism=parallelism)
-    threaded = [agent == "http" for agent in agents]
+def test_fork_pool_and_threads_share_one_budget(forked, http, budget, capped, split):
+    threaded = [False] * forked + [True] * http
     if sys.platform.startswith("linux") or split[0] == 0:
-        assert _split_budget(plan, threaded, budget) == split
-    processes, threads = _split_budget(plan, threaded, budget)
-    assert processes + threads <= budget
+        assert _split_budget(threaded, budget, capped) == split
+    else:
+        assert _split_budget(threaded, budget, capped) == (0, split[1] or budget)
 
 
 # --------------------------------------------------------------------------
@@ -340,17 +342,52 @@ class ExitOnAct:
         pass
 
 
+@dataclass
+class SlowPowerLaw:
+    """A power-law factory whose agents take delay seconds per turn and
+    append when each turn ran to log, from whichever process runs them."""
+
+    log: Path
+    delay: float
+    name: str = "power_law"
+    agent: object = None
+
+    def build(self, session):
+        return replace(self, agent=PowerLawAgentFactory().build(session))
+
+    def act(self, packet):
+        start = time.monotonic()
+        time.sleep(self.delay)
+        with open(self.log, "a") as log:
+            log.write(f"{start} {time.monotonic()}\n")
+        return self.agent.act(packet)
+
+    def close(self):
+        self.agent.close()
+
+    def turns(self):
+        return [tuple(map(float, line.split()))
+                for line in self.log.read_text().splitlines()]
+
+
 class ChatTransport:
     """An in-process HTTP endpoint: tests the hypothesis 2 until the test
-    quota is spent, then idles.  Records the thread that served each call."""
+    quota is spent, then idles.  Takes delay seconds per call and records
+    the thread that served each call and when it ran."""
 
-    def __init__(self):
+    def __init__(self, delay=0.0):
+        self.delay = delay
         self.threads = []
+        self.calls = []  # (start, end) on time.monotonic()
         self._lock = threading.Lock()
 
     def __call__(self, url, headers, body):
+        start = time.monotonic()
+        if self.delay:
+            time.sleep(self.delay)
         with self._lock:
             self.threads.append(threading.current_thread().name)
+            self.calls.append((start, time.monotonic()))
         spent = '"test_quota": 0' in json.loads(body)["messages"][0]["content"]
         content = json.dumps({
             "next_experiments": [],
@@ -358,6 +395,17 @@ class ChatTransport:
             "current_hypothesis_formula": "" if spent else "2",
         })
         return json.dumps({"choices": [{"message": {"content": content}}]})
+
+
+def most_at_once(intervals):
+    """The largest number of the (start, end) intervals open at one time."""
+    events = sorted([(start, 1) for start, _ in intervals]
+                    + [(end, -1) for _, end in intervals])
+    running = peak = 0
+    for _, step in events:
+        running += step
+        peak = max(peak, running)
+    return peak
 
 
 def mixed_plan(agents, parallelism):
@@ -438,7 +486,9 @@ def test_execute_survives_a_dying_pool_worker(tmp_path):
 
 
 def test_closing_the_cell_stream_cancels_queued_thread_cells():
-    transport = ChatTransport()
+    # A cell takes 3 calls of 20 ms, far longer than the caller needs to
+    # close the stream once it has read cell 0.
+    transport = ChatTransport(delay=0.02)
     http = HttpAgentFactory("inproc://test", transport=transport)
     plan = build_plan(bundled_environments(), ["L1", "L2", "L3", "L4"], [http],
                       test_quota=2, parallelism=2)
@@ -447,8 +497,29 @@ def test_closing_the_cell_stream_cancels_queued_thread_cells():
     stream = _run_cells(plan, cells, 2)
     assert next(stream)["turn_count"] == 3
     stream.close()
-    # The cell read and at most one running on each of the two threads.
-    assert len(transport.threads) <= 3 * 3
+    # Cells 0 and 1 started together, and each thread may have picked up
+    # one more cell; none of the other 36 starts.
+    assert len(transport.threads) <= 4 * 3
+
+
+@linux_only
+def test_closing_the_cell_stream_stops_threads_waiting_for_a_slot(tmp_path):
+    transport = ChatTransport(delay=0.02)
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    slow = SlowPowerLaw(tmp_path / "turns", delay=0.005)
+    plan = build_plan(bundled_environments(), ["L1", "L2", "L3", "L4"],
+                      [http, slow], test_quota=2, parallelism=2)
+    cells = list(_cells(plan))
+    assert len(cells) == 80
+    # One process and one slot for two threads: cell 0 runs, and the
+    # second thread waits with cell 2 until the slot is free.
+    stream = _run_cells(plan, cells, 2)
+    assert next(stream)["agent"] == "http"
+    stream.close()
+    # Cell 2 took over the slot.  The thread that picked up cell 4 waits
+    # for a slot that the busy pool never frees; closing the stream wakes
+    # it without running the cell.
+    assert len(transport.threads) <= 2 * 3
 
 
 @linux_only
@@ -480,23 +551,28 @@ def test_mixed_plan_forks_before_any_thread_and_keeps_the_budget(tmp_path):
                           [t.name for t in threading.enumerate()]))
 
     os.register_at_fork(before=before_fork)
-    transport = ChatTransport()
+    # The forked cells end well before the HTTP cells.
+    slow = SlowPowerLaw(tmp_path / "turns", delay=0.002)
+    transport = ChatTransport(delay=0.025)
     http = HttpAgentFactory("inproc://test", transport=transport)
-    plan = mixed_plan([PowerLawAgentFactory(), http], parallelism=2)
+    plan = mixed_plan([slow, http], parallelism=2)
     threads_before = threading.active_count()
     try:
         record = execute(plan, out_dir=tmp_path / "run")
     finally:
         armed[0] = False
     assert len(record.transcripts) == 12 and record.errors == []
-    # One worker process and one cell thread: the budget of 2 holds.
+    # One worker process, forked while no thread of this run, not even the
+    # pool's own, existed.
     assert len(forks) == 1
-    assert len(set(transport.threads)) == 1
-    assert transport.threads[0].startswith("eqgym-cell")
-    # No thread of this run, not even the pool's own, existed at the fork.
     for count, names in forks:
         assert count == threads_before
         assert not [name for name in names if name.startswith("eqgym-cell")]
+    assert all(name.startswith("eqgym-cell") for name in transport.threads)
+    # Never more than 2 turns at once on both pools together; once the
+    # pool is done, its share of the budget goes to a second thread.
+    assert most_at_once(slow.turns() + transport.calls) == 2
+    assert most_at_once(transport.calls) == 2
 
 
 @linux_only
