@@ -342,7 +342,7 @@ class PacketEncoder:
 
 
 # --------------------------------------------------------------------------
-# Subprocess transport: one process per session, line-delimited JSON
+# Replies: one deadline, retry budget and retry loop for both transports
 
 # How long an agent may take over one reply, on either transport.
 AGENT_TIMEOUT_S = 120.0
@@ -350,6 +350,31 @@ AGENT_TIMEOUT_S = 120.0
 # protocol failure, on either transport.
 RETRY_BUDGET = 3
 
+
+def _act_with_retries(send: Callable[[str | None], str],
+                      decode: Callable[[str], object], prefix: str) -> AgentTurn:
+    """Ask for one turn, up to RETRY_BUDGET replies.  `send(notice)`
+    delivers the packet, with the notice about the previous reply on a
+    retry, and returns the reply text; `decode` turns that text into a
+    turn document.  Each malformed reply is answered with `prefix` and
+    its reason."""
+    notice = None
+    problem = "no reply"
+    for _ in range(RETRY_BUDGET):
+        reply = send(notice)
+        try:
+            return parse_turn(decode(reply))
+        except (json.JSONDecodeError, MalformedTurn) as err:
+            problem = str(err)
+        except RecursionError:
+            # The interpreter's own text differs between versions.
+            problem = "reply nested too deeply"
+        notice = prefix + problem
+    raise ProtocolError(f"agent kept replying out of protocol: {problem}")
+
+
+# --------------------------------------------------------------------------
+# Subprocess transport: one process per session, line-delimited JSON
 
 class SubprocessAgent:
     def __init__(self, command: str):
@@ -409,18 +434,11 @@ class SubprocessAgent:
         return reply
 
     def act(self, packet: ObservationPacket) -> AgentTurn:
-        line = self._encoder.encode(packet)
-        last_error = "no reply"
-        for _ in range(RETRY_BUDGET):
-            reply = self._exchange(line)
-            try:
-                return parse_turn(json.loads(reply))
-            except (json.JSONDecodeError, MalformedTurn) as err:
-                last_error = str(err)
-                line = self._encoder.encode(
-                    packet, f"previous reply was not a valid turn: {last_error}"
-                )
-        raise ProtocolError(f"agent kept replying out of protocol: {last_error}")
+        return _act_with_retries(
+            lambda notice: self._exchange(self._encoder.encode(packet, notice)),
+            json.loads,
+            "previous reply was not a valid turn: ",
+        )
 
     def close(self) -> None:
         self._closed.set()
@@ -469,60 +487,42 @@ def load_prompt() -> str:
     return PROMPT_PATH.read_text(encoding="utf-8")
 
 
-def build_prompt(
-    template: str,
-    packet: ObservationPacket,
-    error_notice: str | None = None,
-    encoder: PacketEncoder | None = None,
-) -> str:
+def build_prompt(template: str, packet: ObservationPacket,
+                 error_notice: str | None, encoder: PacketEncoder) -> str:
     """The prompt for one HTTP exchange.  `encoder` is the agent's
-    `PacketEncoder(indent=2)`, which holds the session's encoded history.
-    `HttpAgent` always passes its own; the default, a fresh encoder that
-    encodes the whole packet, is for direct callers such as tests."""
-    packet_text = (encoder or PacketEncoder(indent=2)).encode(packet)
+    `PacketEncoder(indent=2)`, which holds the session's encoded history."""
     parts = [template, "\n# Current Input\n"]
-    parts.append("```json\n" + packet_text + "\n```\n")
+    parts.append("```json\n" + encoder.encode(packet) + "\n```\n")
     if error_notice:
         parts.append(f"\n# Notice\n\n{error_notice}\n")
     return "\n".join(parts)
 
 
+_FENCE_OPEN = re.compile(r"```(?:json)?\s*\{")
+_FENCE_CLOSE = re.compile(r"\s*```")
+_DECODER = json.JSONDecoder()
+
+
 def extract_json_object(text: str) -> dict:
-    """Pull the first JSON object out of a model reply, tolerating code
-    fences and surrounding chatter."""
-    fenced = re.search(r"```(?:json)?\s*(\{.*?\})\s*```", text, re.DOTALL)
-    candidates = [fenced.group(1)] if fenced else []
+    """Decode the turn object in a model reply.  The object that opens the
+    first fenced code block wins if the fence closes right after it;
+    otherwise the object that starts at the reply's first `{`.  Chatter
+    around it is ignored.  Too deep a nesting raises RecursionError."""
+    fence = _FENCE_OPEN.search(text)
+    if fence:
+        try:
+            decoded, end = _DECODER.raw_decode(text, fence.end() - 1)
+        except json.JSONDecodeError:
+            pass
+        else:
+            if _FENCE_CLOSE.match(text, end):
+                return decoded
     start = text.find("{")
     if start >= 0:
-        depth = 0
-        in_string = False
-        escaped = False
-        for i in range(start, len(text)):
-            ch = text[i]
-            if in_string:
-                if escaped:
-                    escaped = False
-                elif ch == "\\":
-                    escaped = True
-                elif ch == '"':
-                    in_string = False
-                continue
-            if ch == '"':
-                in_string = True
-            elif ch == "{":
-                depth += 1
-            elif ch == "}":
-                depth -= 1
-                if depth == 0:
-                    candidates.append(text[start : i + 1])
-                    break
-    for candidate in candidates:
         try:
-            decoded = json.loads(candidate)
+            return _DECODER.raw_decode(text, start)[0]
         except json.JSONDecodeError:
-            continue
-        if isinstance(decoded, dict):
-            return decoded
+            pass
     raise MalformedTurn("no JSON object found in reply")
 
 
@@ -532,6 +532,7 @@ def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
         with urllib.request.urlopen(request, timeout=AGENT_TIMEOUT_S) as response:
             return response.read().decode("utf-8")
     except urllib.error.HTTPError as err:
+        err.close()  # it holds the response, socket and all
         raise TransportError(f"HTTP {err.code} from agent endpoint") from None
     except (urllib.error.URLError, OSError) as err:
         raise TransportError(f"agent endpoint unreachable: {err}") from None
@@ -561,25 +562,21 @@ class HttpAgent:
         try:
             decoded = json.loads(reply)
             content = decoded["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+        except (json.JSONDecodeError, RecursionError, KeyError, IndexError,
+                TypeError):
             raise TransportError("endpoint reply was not chat-completion shaped") from None
         if not isinstance(content, str):
             raise TransportError("endpoint reply content was not text")
         return content
 
     def act(self, packet: ObservationPacket) -> AgentTurn:
-        error_notice = None
-        last_error = "no reply"
-        for _ in range(RETRY_BUDGET):
-            content = self._complete(
-                build_prompt(self.template, packet, error_notice, self._encoder)
-            )
-            try:
-                return parse_turn(extract_json_object(content))
-            except MalformedTurn as err:
-                last_error = str(err)
-                error_notice = f"Your previous reply was not a valid turn: {err}"
-        raise ProtocolError(f"agent kept replying out of protocol: {last_error}")
+        return _act_with_retries(
+            lambda notice: self._complete(
+                build_prompt(self.template, packet, notice, self._encoder)
+            ),
+            extract_json_object,
+            "Your previous reply was not a valid turn: ",
+        )
 
     def close(self) -> None:
         pass

@@ -438,8 +438,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
         out_path.mkdir(parents=True, exist_ok=True)
         sink = (out_path / "run.jsonl").open("w", encoding="utf-8")
 
-    transcripts: list[dict] = []
-    errors: list[dict] = []
+    documents: list[dict] = []  # transcripts and error documents, in cell order
 
     def emit(document: dict) -> None:
         if sink is not None:
@@ -466,10 +465,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
                 "spec": spec_to_dict(env),
             })
         for document in _run_cells(plan, cells, workers):
-            if document.get("kind") == "transcript":
-                transcripts.append(document)
-            else:
-                errors.append(document)
+            documents.append(document)
             emit(document)
     finally:
         if sink is not None:
@@ -478,8 +474,8 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
     wall = time.perf_counter() - started
     record = RunRecord(
         plan_hash=plan_hash(plan),
-        transcripts=transcripts,
-        errors=errors,
+        transcripts=[d for d in documents if d.get("kind") == "transcript"],
+        errors=[d for d in documents if d.get("kind") != "transcript"],
         wall_clock_seconds=wall,
         version=_version(),
         out_dir=str(out_dir) if out_dir is not None else None,
@@ -493,22 +489,13 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
             "log": "run.jsonl",
             "cells": [
                 {
-                    "env_id": t["env_id"],
-                    "level": t["level"],
-                    "agent": t["agent"],
-                    "replicate": t.get("replicate", 0),
-                    "status": t.get("status", "error"),
+                    "env_id": d["env_id"],
+                    "level": d["level"],
+                    "agent": d["agent"],
+                    "replicate": d["replicate"],
+                    "status": d.get("status", "error"),
                 }
-                for t in transcripts
-            ] + [
-                {
-                    "env_id": e["env_id"],
-                    "level": e["level"],
-                    "agent": e["agent"],
-                    "replicate": e["replicate"],
-                    "status": "error",
-                }
-                for e in errors
+                for d in documents
             ],
         }
         (Path(out_dir) / "run_record.json").write_text(

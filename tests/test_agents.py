@@ -2,13 +2,16 @@ from __future__ import annotations
 
 import json
 import math
+import socket
 import sys
 import textwrap
+import threading
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from chat_stub import ChatStub
 
 from eqgym import agents
 from eqgym.agents import (
@@ -33,7 +36,7 @@ from eqgym.agents import (
 )
 from eqgym.environment import bundled_environments
 from eqgym.expr import VariableDomain
-from eqgym.harness import run_session
+from eqgym.harness import build_plan, execute, run_session
 from eqgym.session import ACTIVE, SOLVED, ObservationPacket, new_session
 
 ENVS = {env.env_id: env for env in bundled_environments()}
@@ -146,6 +149,63 @@ def test_extract_object_with_chatter_and_braces_in_strings():
 def test_extract_no_object():
     with pytest.raises(MalformedTurn):
         extract_json_object("no json here")
+
+
+TURN = '{"next_experiments": [], "test_hypothesis_flag": false, "current_hypothesis_formula": "F/k"}'
+
+
+# With the tests above: a fence with and without the json tag, a bare
+# object and braces inside strings.
+@pytest.mark.parametrize("text", [
+    f"```json {TURN}```",
+    # No closing fence: the object at the first brace.
+    f"Here it is:\n```json\n{TURN}\nand more.",
+    # The fenced object wins over a stray brace in the chatter before it.
+    f"Try {{x}} next.\n```json\n{TURN}\n```",
+    # Chatter between the object and the closing fence: the first brace.
+    f"```json\n{TURN} or so\n```",
+    # Only the first fenced block counts.
+    f"```json\n{TURN}\n```\n```json\n{{\"other\": 1}}\n```",
+], ids=["one-line-fence", "unclosed-fence", "stray-brace-before-fence",
+        "chatter-before-close", "first-fence"])
+def test_extract_reply_shapes(text):
+    assert extract_json_object(text) == json.loads(TURN)
+
+
+def test_extract_fenced_object_holding_a_fence_in_a_string():
+    turn = {"current_hypothesis_formula": "f(x) = {x} ```"}
+    assert extract_json_object(f"Say {{hi}}.\n```json\n{json.dumps(turn)}\n```") == turn
+
+
+@pytest.mark.parametrize("text", [
+    # The reply's first brace opens no object, and no fence holds one.
+    f"Try {{x}} next, then {TURN}",
+    f"Try {{x}} next.\n```json\n{TURN}\nand more.",
+    "```json\n[1, 2]\n```",
+    "```json\n{\"a\": 1,}\n```",
+], ids=["stray-brace-before-object", "stray-brace-before-unclosed-fence", "fenced-array",
+        "trailing-comma"])
+def test_extract_malformed_reply_shapes(text):
+    with pytest.raises(MalformedTurn, match="no JSON object found in reply"):
+        extract_json_object(text)
+
+
+@pytest.mark.parametrize("text,error", [
+    ("```{" * 75_000, MalformedTurn),
+    ("{" * 300_000, MalformedTurn),
+    ('```json\n{"a": "' + "x" * 300_000, MalformedTurn),
+    ('{"a": "' + "{[}" * 100_000 + '"', MalformedTurn),
+    ('```json\n' + '{"a": ' * 50_000, RecursionError),
+    ("```json \n\t " * 25_000 + "{", MalformedTurn),
+], ids=["fence-brace-runs", "open-braces", "unterminated-string",
+        "braces-in-a-string", "nested-objects", "fences-then-whitespace"])
+def test_extract_rejects_hostile_replies_in_linear_time(text, error):
+    # About 300 KB each.  A lazy fence pattern that scans to the end from
+    # every fence took 7.9 s on 64 KB of "```{" and grows with the square.
+    started = time.perf_counter()
+    with pytest.raises(error):
+        extract_json_object(text)
+    assert time.perf_counter() - started < 1
 
 
 # --------------------------------------------------------------------------
@@ -333,6 +393,28 @@ def test_subprocess_protocol_error_after_retries(tmp_path):
     assert len(exchanges) == agents.RETRY_BUDGET
 
 
+def test_subprocess_reply_nested_too_deeply_is_retried(tmp_path):
+    command = agent_script(tmp_path, textwrap.dedent("""\
+        if "error_notice" in doc:
+            print(json.dumps({
+                "next_experiments": [],
+                "test_hypothesis_flag": False,
+                "current_hypothesis_formula": doc["error_notice"],
+            }))
+        else:
+            print("[" * 100000)
+        """))
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    agent = SubprocessAgent(command)
+    try:
+        turn = agent.act(session.observation_packet())
+    finally:
+        agent.close()
+    assert turn.current_hypothesis_formula == (
+        "previous reply was not a valid turn: reply nested too deeply"
+    )
+
+
 def test_subprocess_death_is_transport_error(tmp_path):
     path = tmp_path / "dead.py"
     path.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
@@ -465,9 +547,37 @@ def test_http_agent_bad_reply_shape_is_transport_error():
         agent.act(session.observation_packet())
 
 
+def test_http_reply_nested_too_deeply_is_retried():
+    prompts = []
+
+    def transport(url, headers, body):
+        prompts.append(json.loads(body)["messages"][0]["content"])
+        return chat_reply('```json\n' + '{"a": ' * 100_000)
+
+    transcript = run_session(ENVS["hooke"], "L1", http_factory(transport), seed=5)
+    assert transcript["status"] == "protocol_failure"
+    assert transcript["failure_reason"] == (
+        "agent failure: agent kept replying out of protocol: reply nested too deeply"
+    )
+    assert len(prompts) == agents.RETRY_BUDGET
+    notice = "Your previous reply was not a valid turn: reply nested too deeply"
+    assert [notice in prompt for prompt in prompts] == [False, True, True]
+
+
+def test_http_envelope_nested_too_deeply_is_a_transport_error():
+    def transport(url, headers, body):
+        return "[" * 100_000
+
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    agent = http_factory(transport).build(session)
+    with pytest.raises(TransportError, match="^endpoint reply was not chat-completion shaped$"):
+        agent.act(session.observation_packet())
+
+
 def test_build_prompt_includes_notice():
     session = new_session(ENVS["hooke"], "L1", seed=5)
-    text = build_prompt("TEMPLATE", session.observation_packet(), "try again")
+    text = build_prompt("TEMPLATE", session.observation_packet(), "try again",
+                        agents.PacketEncoder(indent=2))
     assert text.startswith("TEMPLATE")
     assert "# Notice" in text and "try again" in text
 
@@ -477,6 +587,79 @@ def test_bundled_prompt_loads_and_mentions_the_wire_fields():
     for token in ("next_experiments", "test_hypothesis_flag",
                   "current_hypothesis_formula", "quota"):
         assert token in text
+
+
+# --------------------------------------------------------------------------
+# The default HTTP transport, against the chat-completions stub on loopback
+
+@pytest.fixture
+def chat_stub():
+    server = ChatStub()
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join()
+
+
+@pytest.mark.parametrize("key", ["sk-test", ""])
+def test_urllib_transport_sends_the_protocol_request(chat_stub, monkeypatch, key):
+    monkeypatch.setenv("EQGYM_STUB_KEY", key)
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    agent = HttpAgentFactory(chat_stub.url, model="stub",
+                             api_key_env="EQGYM_STUB_KEY").build(session)
+    packet = session.observation_packet()
+    turn = agent.act(packet)
+    assert len(turn.next_experiments) == 3
+    [(headers, body)] = chat_stub.requests
+    assert headers["Content-Type"] == "application/json"
+    assert headers["Authorization"] == (f"Bearer {key}" if key else None)
+    prompt = build_prompt(load_prompt(), packet, None, agents.PacketEncoder(indent=2))
+    assert body == json.dumps({
+        "model": "stub",
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": 0.3,
+        "max_tokens": 4096,
+    }).encode("utf-8")
+
+
+def test_urllib_transport_reports_an_http_error(chat_stub):
+    with pytest.raises(TransportError) as info:
+        agents._urllib_transport(chat_stub.url, {"Content-Type": "application/json"}, b"{}")
+    assert str(info.value) == "HTTP 500 from agent endpoint"
+    # The error response is closed, or its socket warns when collected.
+    assert info.value.__context__.closed
+
+
+def test_urllib_transport_reports_a_closed_port():
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(TransportError, match="^agent endpoint unreachable: "):
+        agents._urllib_transport(f"http://127.0.0.1:{port}/v1/chat/completions", {}, b"{}")
+
+
+def test_http_plan_through_the_stub_writes_the_same_log_at_any_parallelism(
+        chat_stub, tmp_path):
+    logs = []
+    for parallelism in (2, 1):
+        plan = build_plan(
+            [ENVS["hooke"], ENVS["env_409"]], ["L1", "L4"],
+            [HttpAgentFactory(chat_stub.url, model="stub")],
+            seed=3, parallelism=parallelism,
+        )
+        record = execute(plan, out_dir=tmp_path / str(parallelism))
+        assert record.errors == []
+        assert {t["status"] for t in record.transcripts} <= {"solved", "exhausted"}
+        logs.append((tmp_path / str(parallelism) / "run.jsonl").read_bytes())
+    assert logs[0] == logs[1]
+    # Each session took the retry path once and tested one hypothesis.
+    notices = [b"# Notice" in body for _, body in chat_stub.requests]
+    assert sum(notices) == 8
+    assert all(t["tests_used"] == 1 for t in record.transcripts)
 
 
 # --------------------------------------------------------------------------
@@ -588,7 +771,7 @@ def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, k
     else:
         build = agents.build_prompt
 
-        def recorded(template, packet, error_notice=None, encoder=None):
+        def recorded(template, packet, error_notice, encoder):
             prompt = build(template, packet, error_notice, encoder)
             sent.append((prompt, reference_prompt(template, packet, error_notice)))
             return prompt

@@ -309,6 +309,25 @@ def test_run_record_file_lists_every_cell(tmp_path):
     assert summary["plan_hash"] == plan_hash(small_plan())
 
 
+def test_run_record_lists_cells_in_log_order(tmp_path, monkeypatch):
+    # An error document used to be listed after every transcript.
+    run_session = eqgym.harness.run_session
+
+    def failing_on_hooke(env, *args, **kwargs):
+        if env.env_id == "hooke":
+            raise RuntimeError("cell failed")
+        return run_session(env, *args, **kwargs)
+
+    monkeypatch.setattr(eqgym.harness, "run_session", failing_on_hooke)
+    plan = small_plan(levels=["L1"], parallelism=1)
+    record = execute(plan, out_dir=tmp_path / "run")
+    assert len(record.errors) == 1 and len(record.transcripts) == 2
+    summary = json.loads((tmp_path / "run" / "run_record.json").read_text())
+    listed = [(c["env_id"], c["level"], c["agent"]) for c in summary["cells"]]
+    assert listed == cell_order(tmp_path / "run", plan)
+    assert [c["status"] for c in summary["cells"]][0] == "error"
+
+
 # --------------------------------------------------------------------------
 # Process pool
 
