@@ -18,11 +18,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -363,12 +363,20 @@ def _act_with_retries(send: Callable[[str | None], str],
     for _ in range(RETRY_BUDGET):
         reply = send(notice)
         try:
-            return parse_turn(decode(reply))
+            document = decode(reply)
         except (json.JSONDecodeError, MalformedTurn) as err:
             problem = str(err)
+        except ValueError:
+            # An integer past the interpreter's digit limit for conversion.
+            problem = "reply holds a number too long to read"
         except RecursionError:
             # The interpreter's own text differs between versions.
             problem = "reply nested too deeply"
+        else:
+            try:
+                return parse_turn(document)
+            except MalformedTurn as err:
+                problem = str(err)
         notice = prefix + problem
     raise ProtocolError(f"agent kept replying out of protocol: {problem}")
 
@@ -562,8 +570,7 @@ class HttpAgent:
         try:
             decoded = json.loads(reply)
             content = decoded["choices"][0]["message"]["content"]
-        except (json.JSONDecodeError, RecursionError, KeyError, IndexError,
-                TypeError):
+        except (ValueError, RecursionError, KeyError, IndexError, TypeError):
             raise TransportError("endpoint reply was not chat-completion shaped") from None
         if not isinstance(content, str):
             raise TransportError("endpoint reply content was not text")
@@ -600,11 +607,14 @@ def agent_from_spec(text: str, *, batch: int | None = None, name: str | None = N
 
     Forms: "scripted:random", "scripted:power_law",
     "subprocess:<command>", "http:<endpoint>".  The scripted names are
-    also accepted bare.  Each option that is not None feeds the matching
+    also accepted bare, and an http:// or https:// URL is taken as the
+    endpoint itself.  Each option that is not None feeds the matching
     factory's field; factories without that field ignore it.
     """
     options = dict(batch=batch, name=name, model=model, api_key_env=api_key_env)
     head, _, rest = text.partition(":")
+    if head in ("http", "https") and rest.startswith("//"):
+        head, rest = "http", text
     if head == "scripted":
         head, rest = rest, ""
     if head == "random":

@@ -7,9 +7,9 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
 
 from .expr import (
     DomainError,
@@ -339,21 +339,24 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
     """
     controllables = env.controllables()
     expected = {v.name for v in controllables}
-    got = set(assignment)
-    if got != expected:
+    if assignment.keys() != expected:
         raise ValueError(
             f"{env.env_id}: assignment must bind exactly {sorted(expected)}, "
-            f"got {sorted(got)}"
+            f"got {sorted(assignment)}"
         )
+    inputs_only = {}
     for v in controllables:
-        value = float(assignment[v.name])
-        if not math.isfinite(value) or not v.domain.contains(value):
+        try:
+            value = float(assignment[v.name])
+        except OverflowError:  # an int beyond float range
+            value = math.inf if assignment[v.name] > 0 else -math.inf
+        if not v.domain.contains(value):
             return DomainError(
                 "out-of-domain",
                 f"{v.name} = {value!r} outside its admissible range",
                 subject=v.name,
             )
-    inputs_only = {v.name: float(assignment[v.name]) for v in env.inputs}
+        inputs_only[v.name] = value
     for constraint in env.validity:
         if not constraint.holds(inputs_only):
             return DomainError(

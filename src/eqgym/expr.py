@@ -4,6 +4,9 @@ forms, and a seeded numeric equivalence oracle.
 The surface syntax is a small Python-expression subset (`F / k`,
 `2*np.pi*np.sqrt(l/g)`); `np.pi` is the only named constant and `np.`
 is the only namespace prefix a function may carry.
+
+`evaluate` compiles each formula once into nested closures and caches
+them, and matches a plain recursive walk over the tree bit for bit.
 """
 
 from __future__ import annotations
@@ -13,8 +16,9 @@ import math
 import operator
 import random
 import re
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Union
+from typing import Union
 
 import numpy as np
 
@@ -504,31 +508,83 @@ def _apply_binary(op: str, a: float, b: float) -> float:
         raise _DomainSignal("overflow", f"{a!r} ** {b!r}") from None
 
 
-def _eval(expr: Expression, bindings: Mapping[str, float]) -> float:
+def _compile(expr: Expression):
+    """The tree as nested closures, each taking the bindings and returning
+    the node's float or raising _DomainSignal.  Operands run left to
+    right; every result passes the _checked test (`-HUGE <= r <= HUGE`
+    is false for NaN and infinity too)."""
     if isinstance(expr, Constant):
-        return _checked(expr.value, "constant")
+        value = expr.value
+        if -HUGE <= value <= HUGE:
+            return lambda b: value
+        return lambda b: _checked(value, "constant")
     if isinstance(expr, NamedConstant):
-        return math.pi
+        return lambda b: math.pi
     if isinstance(expr, Variable):
-        try:
-            v = bindings[expr.name]
-        except KeyError:
-            raise _DomainSignal(
-                "unbound-variable", f"no value for {expr.name!r}", expr.name
-            ) from None
-        return _checked(float(v), expr.name)
+        name = expr.name
+
+        def variable(b):
+            try:
+                v = float(b[name])
+            except KeyError:
+                raise _DomainSignal("unbound-variable", f"no value for {name!r}", name) from None
+            except OverflowError:  # an int beyond float range
+                raise _DomainSignal("overflow", name) from None
+            return v if -HUGE <= v <= HUGE else _checked(v, name)
+        return variable
     if isinstance(expr, Unary):
-        x = _eval(expr.operand, bindings)
-        return _checked(_apply_unary(expr.op, x), expr.op)
-    a = _eval(expr.left, bindings)
-    b = _eval(expr.right, bindings)
-    return _checked(_apply_binary(expr.op, a, b), expr.op)
+        op, x = expr.op, _compile(expr.operand)
+        # neg and abs keep a checked operand in range.
+        if op == "neg":
+            return lambda b: -x(b)
+        if op == "abs":
+            return lambda b: abs(x(b))
+
+        def unary(b):
+            r = _apply_unary(op, x(b))
+            return r if -HUGE <= r <= HUGE else _checked(r, op)
+        return unary
+    op, left, right = expr.op, _compile(expr.left), _compile(expr.right)
+    if op == "add":
+        def binary(b):
+            r = left(b) + right(b)
+            return r if -HUGE <= r <= HUGE else _checked(r, op)
+    elif op == "sub":
+        def binary(b):
+            r = left(b) - right(b)
+            return r if -HUGE <= r <= HUGE else _checked(r, op)
+    elif op == "mul":
+        def binary(b):
+            r = left(b) * right(b)
+            return r if -HUGE <= r <= HUGE else _checked(r, op)
+    else:
+        def binary(b):
+            r = _apply_binary(op, left(b), right(b))
+            return r if -HUGE <= r <= HUGE else _checked(r, op)
+    return binary
+
+
+# id(tree) -> (tree, closures).  Holding the tree keeps its id from being
+# reused while the entry lives; keying on the tree itself would hash it,
+# which costs as much as a walk.  Threads that race on it can at worst
+# compile one tree twice.
+_COMPILED: dict[int, tuple[Expression, object]] = {}
+_COMPILED_MAX = 256
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
-    """Evaluate at a point.  Returns Value or DomainError; never raises."""
+    """Evaluate at a point.  Returns Value or DomainError; never raises.
+
+    The tree is compiled into closures on its first evaluation and the
+    closures are cached by the tree's identity, so repeated evaluations of
+    one law cost little more than its arithmetic."""
+    entry = _COMPILED.get(id(expr))
+    if entry is None:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.clear()
+        entry = _COMPILED[id(expr)] = (expr, _compile(expr))
     try:
-        return Value(_eval(expr, bindings))
+        return Value(entry[1](bindings))
     except _DomainSignal as sig:
         return DomainError(sig.reason, sig.detail, sig.subject)
 
@@ -755,13 +811,12 @@ class VariableDomain:
             raise ValueError("log scale requires a positive lower bound")
 
     def contains(self, value: float) -> bool:
-        if not math.isfinite(value):
-            return False
-        if value < self.lower or (value == self.lower and not self.lower_closed):
-            return False
-        if value > self.upper or (value == self.upper and not self.upper_closed):
-            return False
-        return True
+        # NaN and infinity fail every comparison with the finite bounds.
+        if self.lower < value < self.upper:
+            return True
+        return (value == self.lower and self.lower_closed) or (
+            value == self.upper and self.upper_closed
+        )
 
     def log_scaled(self) -> bool:
         if self.scale_hint == "log":
@@ -771,11 +826,13 @@ class VariableDomain:
         return self.lower > 0 and self.upper / self.lower > 100.0
 
     def sample(self, rng: random.Random) -> float:
+        log = self.log_scaled()
+        lo, hi = (math.log(self.lower), math.log(self.upper)) if log else (self.lower, self.upper)
+        span = hi - lo
         for _ in range(64):
-            if self.log_scaled():
-                v = math.exp(rng.uniform(math.log(self.lower), math.log(self.upper)))
-            else:
-                v = rng.uniform(self.lower, self.upper)
+            v = lo + span * rng.random()  # random.uniform(lo, hi)
+            if log:
+                v = math.exp(v)
             if self.contains(v):
                 return v
         return (self.lower + self.upper) / 2.0

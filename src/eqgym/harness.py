@@ -650,7 +650,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="comma-separated prior levels")
     run_p.add_argument("--agent", dest="agents", action="append", required=True,
                        help='agent spec: scripted:<name>, subprocess:"<cmd>", '
-                            "or http:<endpoint>; repeatable")
+                            "or an http(s):// endpoint URL (also as http:<url>); "
+                            "repeatable")
     run_p.add_argument("--experiments-quota", type=int,
                        default=DEFAULT_EXPERIMENTS_QUOTA)
     run_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from . import evaluation
 from .environment import EnvironmentSpec, PriorMask, LEVELS, render_observation, run_experiment
@@ -289,11 +290,10 @@ class Session:
     def _proposal_problem(self, proposal) -> str | None:
         if not isinstance(proposal, Mapping):
             return "proposal must be an object of variable assignments"
-        expected = set(self._to_true)
-        got = set(proposal)
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
+        expected = self._to_true.keys()
+        if proposal.keys() != expected:
+            missing = sorted(expected - proposal.keys())
+            extra = sorted(proposal.keys() - expected)
             parts = []
             if missing:
                 parts.append(f"missing {missing}")
@@ -301,6 +301,8 @@ class Session:
                 parts.append(f"unknown {extra}")
             return "bad variable set: " + ", ".join(parts)
         for name, value in proposal.items():
+            if type(value) is float and value - value == 0.0:  # finite
+                continue
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return f"value for {name} must be a number"
             try:
@@ -312,8 +314,9 @@ class Session:
         return None
 
     def _run_one(self, proposal: Mapping[str, float]) -> ExperimentRecord:
-        display = {name: float(proposal[name]) for name in self._to_true}
-        true_assignment = {self._to_true[d]: v for d, v in display.items()}
+        display, true_assignment = {}, {}
+        for name, true in self._to_true.items():
+            display[name] = true_assignment[true] = float(proposal[name])
         outcome = run_experiment(self.env, true_assignment)
         self.experiments_remaining -= 1
         if isinstance(outcome, Value):

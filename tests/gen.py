@@ -1,16 +1,24 @@
-"""Seeded expression generators and meaning-preserving rewrites for tests."""
+"""Seeded expression generators, meaning-preserving rewrites and the
+reference tree-walk evaluator for tests."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from eqgym.expr import (
     Binary,
     Constant,
+    DomainError,
     Expression,
     NamedConstant,
     Unary,
+    Value,
     Variable,
+    _apply_binary,
+    _apply_unary,
+    _checked,
+    _DomainSignal,
 )
 
 
@@ -35,6 +43,40 @@ def transform_at(expr: Expression, index: int, fn) -> Expression:
             return Binary(expr.op, transform_at(expr.left, index, fn), expr.right)
         return Binary(expr.op, expr.left, transform_at(expr.right, index - left_size, fn))
     return expr
+
+
+# -- the reference evaluator ---------------------------------------------------
+# The recursive tree walk that `evaluate` compiled away, kept as its
+# brute-force twin: the compiled closures must match it bit for bit.
+
+def _walk(expr: Expression, bindings) -> float:
+    if isinstance(expr, Constant):
+        return _checked(expr.value, "constant")
+    if isinstance(expr, NamedConstant):
+        return math.pi
+    if isinstance(expr, Variable):
+        try:
+            v = bindings[expr.name]
+        except KeyError:
+            raise _DomainSignal(
+                "unbound-variable", f"no value for {expr.name!r}", expr.name
+            ) from None
+        return _checked(float(v), expr.name)
+    if isinstance(expr, Unary):
+        x = _walk(expr.operand, bindings)
+        return _checked(_apply_unary(expr.op, x), expr.op)
+    a = _walk(expr.left, bindings)
+    b = _walk(expr.right, bindings)
+    return _checked(_apply_binary(expr.op, a, b), expr.op)
+
+
+def walk_evaluate(expr: Expression, bindings):
+    """`evaluate` by a plain recursive walk over the tree."""
+    try:
+        return Value(_walk(expr, bindings))
+    except _DomainSignal as sig:
+        return DomainError(sig.reason, sig.detail, sig.subject)
+
 
 # Ops whose magnitudes stay tame on moderate inputs; log/sqrt/div/pow are
 # added separately so error regions stay exercised but bounded.

@@ -415,6 +415,36 @@ def test_subprocess_reply_nested_too_deeply_is_retried(tmp_path):
     )
 
 
+# Python's limit on int-to-text conversion; a reply past it must be retried.
+needs_int_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit"
+)
+LONG_NUMBER_NOTICE = "reply holds a number too long to read"
+
+
+@needs_int_digit_limit
+def test_subprocess_reply_with_a_too_long_number_is_retried(tmp_path):
+    command = agent_script(tmp_path, textwrap.dedent("""\
+        if "error_notice" in doc:
+            print(json.dumps({
+                "next_experiments": [],
+                "test_hypothesis_flag": False,
+                "current_hypothesis_formula": doc["error_notice"],
+            }))
+        else:
+            print('{"next_experiments": [{"F": ' + "9" * 5000 + '}]}')
+        """))
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    agent = SubprocessAgent(command)
+    try:
+        turn = agent.act(session.observation_packet())
+    finally:
+        agent.close()
+    assert turn.current_hypothesis_formula == (
+        "previous reply was not a valid turn: " + LONG_NUMBER_NOTICE
+    )
+
+
 def test_subprocess_death_is_transport_error(tmp_path):
     path = tmp_path / "dead.py"
     path.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
@@ -567,6 +597,34 @@ def test_http_reply_nested_too_deeply_is_retried():
 def test_http_envelope_nested_too_deeply_is_a_transport_error():
     def transport(url, headers, body):
         return "[" * 100_000
+
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    agent = http_factory(transport).build(session)
+    with pytest.raises(TransportError, match="^endpoint reply was not chat-completion shaped$"):
+        agent.act(session.observation_packet())
+
+
+@needs_int_digit_limit
+def test_http_reply_with_a_too_long_number_is_retried():
+    prompts = []
+
+    def transport(url, headers, body):
+        prompts.append(json.loads(body)["messages"][0]["content"])
+        return chat_reply('{"next_experiments": [{"F": ' + "9" * 5000 + "}]}")
+
+    transcript = run_session(ENVS["hooke"], "L1", http_factory(transport), seed=5)
+    assert transcript["status"] == "protocol_failure"
+    assert transcript["failure_reason"] == (
+        "agent failure: agent kept replying out of protocol: " + LONG_NUMBER_NOTICE
+    )
+    notice = "Your previous reply was not a valid turn: " + LONG_NUMBER_NOTICE
+    assert [notice in prompt for prompt in prompts] == [False, True, True]
+
+
+@needs_int_digit_limit
+def test_http_envelope_with_a_too_long_number_is_a_transport_error():
+    def transport(url, headers, body):
+        return '{"choices": [{"message": {"content": "{}"}}], "id": ' + "9" * 5000 + "}"
 
     session = new_session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
@@ -856,6 +914,14 @@ def test_agent_from_spec_forms():
     assert http.name == "m"
     assert agent_from_spec("http:https://h/v1").name == "http"
     assert agent_from_spec("http:https://h/v1", model="m", name="n").name == "n"
+
+
+@pytest.mark.parametrize("url", ["http://127.0.0.1:9/v1/chat/completions",
+                                 "https://h/v1"])
+def test_agent_from_spec_takes_a_url_as_the_endpoint(url):
+    bare = agent_from_spec(url, model="m")
+    assert bare == agent_from_spec(f"http:{url}", model="m")
+    assert bare.endpoint == url
 
 
 @pytest.mark.parametrize("spec", ["", "subprocess:", "http:", "alien",

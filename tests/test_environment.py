@@ -228,3 +228,15 @@ def test_invalid_json_file_rejected(tmp_path):
     path.write_text("{nope")
     with pytest.raises(SchemaError):
         load_file(path)
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400, 10**5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+def test_int_beyond_float_range_is_out_of_domain(big):
+    hooke = next(e for e in bundled_environments() if e.env_id == "hooke")
+    out = run_experiment(hooke, {"F": big, "k": 1.0})
+    assert isinstance(out, DomainError)
+    assert out.reason == "out-of-domain"
+    assert out.subject == "F"
+    shown = "inf" if big > 0 else "-inf"
+    assert out.detail == f"F = {shown} outside its admissible range"

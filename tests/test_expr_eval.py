@@ -104,3 +104,10 @@ def test_evaluate_never_raises_on_fuzz():
         assert isinstance(out, (Value, DomainError))
         if isinstance(out, Value):
             assert math.isfinite(out.value) and abs(out.value) <= 1e300
+
+
+@pytest.mark.parametrize("big", [10**400, -10**400, 10**5000],
+                         ids=["1e400", "-1e400", "1e5000"])
+def test_int_binding_beyond_float_range_is_overflow(big):
+    # 10**5000 has more digits than the interpreter converts to text.
+    assert val("x*2", x=big) == DomainError("overflow", "x")
