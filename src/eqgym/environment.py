@@ -346,10 +346,16 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
         )
     inputs_only = {}
     for v in controllables:
-        try:
-            value = float(assignment[v.name])
-        except OverflowError:  # an int beyond float range
-            value = math.inf if assignment[v.name] > 0 else -math.inf
+        value = assignment[v.name]
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return DomainError(
+                    "out-of-domain", f"{v.name} must be a number", subject=v.name
+                )
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond float range
+                value = math.inf if value > 0 else -math.inf
         if not v.domain.contains(value):
             return DomainError(
                 "out-of-domain",

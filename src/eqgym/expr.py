@@ -16,6 +16,7 @@ import math
 import operator
 import random
 import re
+import threading
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Union
@@ -150,8 +151,16 @@ EvalOutcome = Union[Value, DomainError]
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 
-_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+# One token per match: whitespace (str.isspace), then an operator, a
+# number or a name.  No group matches at the end of the text or at a
+# character that starts no token.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\*\*|[-+*/()])"
+    r"|((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*))?"
+)
+_ADD_OPS = {"+": "add", "-": "sub"}
+_MUL_OPS = {"*": "mul", "/": "div"}
 
 # Bounds both the parser's recursion and the height of the tree it
 # returns, so every recursive tree walk stays far below the interpreter's
@@ -159,102 +168,77 @@ _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
 _MAX_DEPTH = 200
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # NUMBER NAME OP END
-    text: str
-    offset: int  # byte offset into the UTF-8 encoding of the source
-
-
-def _tokenize(text: str) -> Iterator[_Token]:
-    """Yield the tokens of `text` on demand, then one END token, so a parse
-    that fails early never scans the rest of the text."""
+def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
+    """Yield (kind, text, byte offset) tokens on demand, then one END token,
+    so a parse that fails early never scans the rest of the text.  An
+    operator's kind is its text; the other kinds are NUMBER and NAME."""
+    match = _TOKEN_RE.match
+    ascii_only = text.isascii()
     pos = 0
-    n = len(text)
-    # The byte offset of `pos`, advanced over each stretch of text once so
-    # that tokenizing stays linear in the length of the input.
+    # The byte offset of `counted`, advanced over each stretch of text once.
     byte_off = 0
     counted = 0
-    while pos < n:
-        ch = text[pos]
-        if ch.isspace():
-            pos += 1
-            continue
-        byte_off += len(text[counted:pos].encode("utf-8"))
-        counted = pos
-        if text.startswith("**", pos):
-            yield _Token("OP", "**", byte_off)
-            pos += 2
-            continue
-        if ch in "+-*/()":
-            yield _Token("OP", ch, byte_off)
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            yield _Token("NUMBER", m.group(), byte_off)
-            pos = m.end()
-            continue
-        m = _NAME_RE.match(text, pos)
-        if m:
-            yield _Token("NAME", m.group(), byte_off)
-            pos = m.end()
-            continue
-        raise ExpressionSyntaxError(
-            f"unexpected character {ch!r} at byte {byte_off}",
-            byte_off,
-            ("number", "identifier", "operator", "'('", "')'"),
-        )
-    yield _Token("END", "", len(text.encode("utf-8")))
+    while True:
+        m = match(text, pos)
+        group = m.lastindex
+        start = m.start(group) if group else m.end()
+        if ascii_only:
+            byte_off = start
+        else:
+            byte_off += len(text[counted:start].encode("utf-8"))
+            counted = start
+        if group is None:
+            if start == len(text):
+                yield ("END", "", byte_off)
+                return
+            raise ExpressionSyntaxError(
+                f"unexpected character {text[start]!r} at byte {byte_off}",
+                byte_off,
+                ("number", "identifier", "operator", "'('", "')'"),
+            )
+        token = m.group(group)
+        yield (token if group == 1 else "NUMBER" if group == 2 else "NAME", token, byte_off)
+        pos = m.end()
 
 
 class _Parser:
-    """Recursive descent over a lazy token stream.
+    """Recursive descent over a lazy token stream, holding one token of
+    lookahead in `tok`.
 
     Each rule returns its node with the node's tree height (a leaf is 1),
     and every node built is checked against _MAX_DEPTH at once: a long
     flat chain such as `a+b+...` is built by a loop, not by recursion, so
-    the recursion cap alone would not bound it.
+    the recursion cap alone would not bound it.  Whatever can fail is
+    checked before the next token is read, so the first problem in the
+    text is the one reported.
     """
 
     def __init__(self, text: str):
-        self._tokens = _tokenize(text)
-        self._ahead: list[_Token] = []  # pulled, not yet consumed
+        self._next = _tokenize(text).__next__
+        self.tok = self._next()
         self.depth = 0
 
-    def peek(self, ahead: int = 0) -> _Token:
-        while len(self._ahead) <= ahead:
-            if self._ahead and self._ahead[-1].kind == "END":
-                return self._ahead[-1]
-            self._ahead.append(next(self._tokens))
-        return self._ahead[ahead]
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok.kind != "END":
-            self._ahead.pop(0)
-        return tok
+    def advance(self) -> None:
+        # END is never consumed: every rule checks the kind first.
+        self.tok = self._next()
 
     def fail(self, expected: tuple[str, ...]) -> ExpressionSyntaxError:
-        tok = self.peek()
-        found = "end of input" if tok.kind == "END" else repr(tok.text)
+        kind, text, offset = self.tok
+        found = "end of input" if kind == "END" else repr(text)
         return ExpressionSyntaxError(
-            f"syntax error at byte {tok.offset}: unexpected {found}, "
+            f"syntax error at byte {offset}: unexpected {found}, "
             f"expected one of: {', '.join(expected)}",
-            tok.offset,
+            offset,
             expected,
         )
 
-    def enter(self):
+    def enter(self, offset: int | None = None) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            tok = self.peek()
+            offset = self.tok[2] if offset is None else offset
             raise ExpressionSyntaxError(
-                f"expression nested too deeply at byte {tok.offset}", tok.offset, ()
+                f"expression nested too deeply at byte {offset}", offset, ()
             )
-
-    def leave(self):
-        self.depth -= 1
 
     @staticmethod
     def _built(node: Expression, height: int) -> tuple[Expression, int]:
@@ -267,19 +251,19 @@ class _Parser:
     def expression(self) -> tuple[Expression, int]:
         self.enter()
         node, height = self.multiplicative()
-        while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
-            op = "add" if self.advance().text == "+" else "sub"
+        while (op := _ADD_OPS.get(self.tok[0])) is not None:
+            self.advance()
             right, right_height = self.multiplicative()
             node, height = self._built(
                 Binary(op, node, right), 1 + max(height, right_height)
             )
-        self.leave()
+        self.depth -= 1
         return node, height
 
     def multiplicative(self) -> tuple[Expression, int]:
         node, height = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in ("*", "/"):
-            op = "mul" if self.advance().text == "*" else "div"
+        while (op := _MUL_OPS.get(self.tok[0])) is not None:
+            self.advance()
             right, right_height = self.unary()
             node, height = self._built(
                 Binary(op, node, right), 1 + max(height, right_height)
@@ -288,76 +272,81 @@ class _Parser:
 
     def unary(self) -> tuple[Expression, int]:
         self.enter()
-        try:
-            if self.peek().kind == "OP" and self.peek().text == "-":
+        if self.tok[0] != "-":
+            built = self.power(*self.atom())
+        else:
+            self.advance()
+            number = self.tok
+            if number[0] != "NUMBER":
+                operand, height = self.unary()
+            else:
                 self.advance()
                 # A minus directly over a number literal folds into a negative
                 # constant, except when `**` follows: `-3**2` is -(3**2).
-                nxt = self.peek()
-                if nxt.kind == "NUMBER" and not (
-                    self.peek(1).kind == "OP" and self.peek(1).text == "**"
-                ):
-                    self.advance()
-                    return Constant(-self._number(nxt)), 1
-                operand, height = self.unary()
-                return self._built(Unary("neg", operand), height + 1)
-            return self.power()
-        finally:
-            self.leave()
+                if self.tok[0] != "**":
+                    self.depth -= 1
+                    return Constant(-self._number(number)), 1
+                self.enter(number[2])  # the power is one level deeper
+                operand, height = self.power(Constant(self._number(number)), 1)
+                self.depth -= 1
+            built = self._built(Unary("neg", operand), height + 1)
+        self.depth -= 1
+        return built
 
-    def power(self) -> tuple[Expression, int]:
-        base, height = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "**":
-            self.advance()
-            exponent, exponent_height = self.unary()
-            return self._built(
-                Binary("pow", base, exponent), 1 + max(height, exponent_height)
-            )
-        return base, height
+    def power(self, base: Expression, height: int) -> tuple[Expression, int]:
+        if self.tok[0] != "**":
+            return base, height
+        self.advance()
+        exponent, exponent_height = self.unary()
+        return self._built(
+            Binary("pow", base, exponent), 1 + max(height, exponent_height)
+        )
 
     def atom(self) -> tuple[Expression, int]:
-        tok = self.peek()
-        if tok.kind == "NUMBER":
+        tok = self.tok
+        kind = tok[0]
+        if kind == "NUMBER":
+            node = Constant(self._number(tok))
             self.advance()
-            return Constant(self._number(tok)), 1
-        if tok.kind == "NAME":
+            return node, 1
+        if kind == "NAME":
             self.advance()
             return self._name(tok)
-        if tok.kind == "OP" and tok.text == "(":
+        if kind == "(":
             self.advance()
             self.enter()
             built = self.expression()
-            self.leave()
-            closing = self.peek()
-            if closing.kind == "OP" and closing.text == ")":
-                self.advance()
-                return built
-            raise self.fail(("')'",))
+            self.depth -= 1
+            if self.tok[0] != ")":
+                raise self.fail(("')'",))
+            self.advance()
+            return built
         raise self.fail(("number", "identifier", "'('", "'-'"))
 
-    def _number(self, tok: _Token) -> float:
-        v = float(tok.text)
+    @staticmethod
+    def _number(tok: tuple[str, str, int]) -> float:
+        v = float(tok[1])
         if not math.isfinite(v):
             raise ExpressionSyntaxError(
-                f"number literal out of range at byte {tok.offset}", tok.offset, ()
+                f"number literal out of range at byte {tok[2]}", tok[2], ()
             )
         return v
 
-    def _name(self, tok: _Token) -> tuple[Expression, int]:
-        name = tok.text
-        calls = self.peek().kind == "OP" and self.peek().text == "("
+    def _name(self, tok: tuple[str, str, int]) -> tuple[Expression, int]:
+        _, name, offset = tok
+        calls = self.tok[0] == "("
         if name == "np.pi":
             if calls:
-                raise UnknownFunctionError(name, tok.offset)
+                raise UnknownFunctionError(name, offset)
             return NamedConstant("pi"), 1
         if "." in name:
             prefix, _, fn = name.partition(".")
             if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
-                raise UnknownFunctionError(name, tok.offset)
+                raise UnknownFunctionError(name, offset)
             return self._call(fn)
         if calls:
             if name not in _FUNCTION_OPS:
-                raise UnknownFunctionError(name, tok.offset)
+                raise UnknownFunctionError(name, offset)
             return self._call(name)
         return Variable(name), 1
 
@@ -365,12 +354,12 @@ class _Parser:
         self.advance()  # consume '('
         self.enter()
         arg, height = self.expression()
-        self.leave()
-        closing = self.peek()
-        if not (closing.kind == "OP" and closing.text == ")"):
+        self.depth -= 1
+        if self.tok[0] != ")":
             raise self.fail(("')'",))
+        built = self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
         self.advance()
-        return self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
+        return built
 
 
 def parse(text: str) -> Expression:
@@ -382,7 +371,7 @@ def parse(text: str) -> Expression:
     """
     parser = _Parser(text)
     node, _ = parser.expression()
-    if parser.peek().kind != "END":
+    if parser.tok[0] != "END":
         raise parser.fail(("operator", "end of input"))
     return node
 
@@ -530,6 +519,8 @@ def _compile(expr: Expression):
                 raise _DomainSignal("unbound-variable", f"no value for {name!r}", name) from None
             except OverflowError:  # an int beyond float range
                 raise _DomainSignal("overflow", name) from None
+            except (TypeError, ValueError):  # a binding float() cannot take
+                raise _DomainSignal("not-a-number", f"value for {name!r} is not a number", name) from None
             return v if -HUGE <= v <= HUGE else _checked(v, name)
         return variable
     if isinstance(expr, Unary):
@@ -851,36 +842,65 @@ def sample_columns(
     domains: Mapping[str, VariableDomain], n: int, seed: int
 ) -> dict[str, np.ndarray]:
     """The points of sample_assignments(domains, n, seed), bit for bit, as
-    one read-only array per variable.  Cached per (domains, n, seed)."""
+    one read-only array per variable.  Cached per (domains, n, seed).
+
+    For an int seed the draws come from numpy's legacy Mersenne Twister
+    (one per thread), seeded exactly as random.seed(seed) seeds the
+    standard library's; NEP 19 freezes its stream, and its doubles are
+    built from 53 bits as random.random() builds them.  Other seeds, and
+    a draw that its domain rejects, replay sample_assignments."""
     key = tuple(sorted(domains.items()))
     return dict(zip(sorted(domains), _sampled(key, n, seed)))
+
+
+_GENERATORS = threading.local()
+
+
+def _uniforms(seed: int, count: int) -> np.ndarray:
+    """random.Random(seed).random(), `count` times, drawn in C."""
+    rng = getattr(_GENERATORS, "rng", None)
+    if rng is None:
+        rng = _GENERATORS.rng = np.random.RandomState()
+    # random.seed(int) runs init_by_array on abs(seed)'s 32-bit words, least
+    # significant first, as RandomState.seed does given a list (an array of
+    # one word would be squeezed and seeded by init_genrand).
+    rest = abs(seed)
+    rng.seed([(rest >> shift) & 0xFFFFFFFF for shift in range(0, max(rest.bit_length(), 1), 32)])
+    return rng.random_sample(count)
 
 
 @functools.lru_cache(maxsize=64)
 def _sampled(key: tuple, n: int, seed: int) -> tuple[np.ndarray, ...]:
     # The same random() draws in the same order as sample_assignments,
     # mapped through the same arithmetic as random.uniform and sample().
-    draw = random.Random(seed).random
-    draws = np.array([draw() for _ in range(n * len(key))]).reshape(n, len(key))
-    columns = []
-    for j, (_, domain) in enumerate(key):
-        if domain.log_scaled():
-            lo, hi = math.log(domain.lower), math.log(domain.upper)
-            column = _map_math(math.exp, lo + (hi - lo) * draws[:, j])
-        else:
-            column = domain.lower + (domain.upper - domain.lower) * draws[:, j]
-        # VariableDomain.contains over the column; NaN and inf fail both sides.
-        above = column >= domain.lower if domain.lower_closed else column > domain.lower
-        below = column <= domain.upper if domain.upper_closed else column < domain.upper
-        if not np.all(above & below):
-            # A rejected draw shifts every later draw; replay it point by point.
-            points = sample_assignments(dict(key), n, seed)
-            columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
-            break
-        columns.append(column)
+    columns = _drawn(key, n, seed) if type(seed) is int else None
+    if columns is None:
+        points = sample_assignments(dict(key), n, seed)
+        columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
     for column in columns:
         column.flags.writeable = False
     return tuple(columns)
+
+
+def _drawn(key: tuple, n: int, seed: int) -> list[np.ndarray] | None:
+    draws = _uniforms(seed, n * len(key)).reshape(n, len(key))
+    columns, logged = [], []
+    for j, (_, domain) in enumerate(key):
+        lo, hi = domain.lower, domain.upper
+        if domain.log_scaled():
+            lo, hi = math.log(lo), math.log(hi)
+            logged.append(j)
+        columns.append(lo + (hi - lo) * draws[:, j])
+    if logged:  # libm's exp, not np.exp, which differs in the last bit
+        exps = np.concatenate([columns[j] for j in logged]).tolist()
+        exps = np.fromiter(map(math.exp, exps), float, len(exps))
+        for i, j in enumerate(logged):
+            columns[j] = exps[i * n:(i + 1) * n]
+    for column, (_, domain) in zip(columns, key):
+        # A domain is an interval, and a NaN anywhere makes min and max NaN.
+        if not (domain.contains(column.min()) and domain.contains(column.max())):
+            return None  # a rejected draw shifts every later draw
+    return columns
 
 
 # Stands in for points that are already invalid before a math function is
@@ -896,12 +916,13 @@ def _or_inf(fn, *args: float) -> float:
         return math.inf  # the HUGE check marks the point invalid
 
 
-def _map_math(fn, *columns: np.ndarray) -> np.ndarray:
-    args = [column.tolist() for column in columns]
+def _map_math(fn, n: int, *columns) -> np.ndarray:
+    # A float operand stands for a constant column.
+    args = [[c] * n if type(c) is float else c.tolist() for c in columns]
     try:
-        return np.array(list(map(fn, *args)), dtype=float)
+        return np.fromiter(map(fn, *args), float, n)
     except (OverflowError, ValueError):
-        return np.array(list(map(functools.partial(_or_inf, fn), *args)), dtype=float)
+        return np.fromiter(map(functools.partial(_or_inf, fn), *args), float, n)
 
 
 def evaluate_columns(
@@ -911,43 +932,69 @@ def evaluate_columns(
 
     Returns (values, valid).  valid[i] is False exactly where evaluate()
     returns a DomainError at point i; elsewhere values[i] equals its
-    value bit for bit.  numpy computes only the correctly rounded ops
-    (neg, abs, sqrt, + - * /); every other function is the scalar path's
-    own, mapped over the column, because numpy's vector kernels differ
-    from libm in the last bits.
+    value bit for bit.  Subtrees without variables fold to one float by
+    evaluate's own scalar rules.  numpy computes only the correctly
+    rounded ops (neg, abs, sqrt, + - * /); every other function is the
+    scalar path's own, mapped over the column, because numpy's vector
+    kernels differ from libm in the last bits.  A mask is built only
+    where some point fails.
     """
     with np.errstate(all="ignore"):
-        return _eval_columns(expr, columns, n)
+        try:
+            values, valid = _eval_columns(expr, columns, n)
+        except _DomainSignal:  # a constant subtree is undefined everywhere
+            return np.zeros(n), np.zeros(n, dtype=bool)
+    if type(values) is float:
+        values = np.full(n, values)
+    return values, np.ones(n, dtype=bool) if valid is None else valid
+
+
+def _restrict(valid, ok: np.ndarray):
+    # valid narrowed to the points of ok; None stands for every point.
+    if ok.all():
+        return valid
+    return ok if valid is None else valid & ok
+
+
+def _safe(x, valid):
+    return x if valid is None else np.where(valid, x, _SAFE_INPUT)
 
 
 def _eval_columns(expr, columns, n):
-    if isinstance(expr, (Constant, NamedConstant)):
-        values = np.full(n, expr.value if isinstance(expr, Constant) else math.pi)
-        valid = np.ones(n, dtype=bool)
-    elif isinstance(expr, Variable):
-        values = columns[expr.name]
-        valid = np.ones(n, dtype=bool)
+    # (values, valid): a float and None for a subtree without variables,
+    # else an array and a mask (None if every point is valid).
+    if isinstance(expr, Constant):
+        return _checked(expr.value, "constant"), None
+    if isinstance(expr, NamedConstant):
+        return math.pi, None
+    if isinstance(expr, Variable):
+        values, valid = columns[expr.name], None
     elif isinstance(expr, Unary):
         x, valid = _eval_columns(expr.operand, columns, n)
         op = expr.op
+        if type(x) is float:
+            return _checked(_apply_unary(op, x), op), None
         if op == "neg":
             values = -x
         elif op == "abs":
             values = np.abs(x)
         elif op == "sqrt":
-            valid = valid & (x >= 0)
+            valid = _restrict(valid, x >= 0)
             values = np.sqrt(x)
         else:
             if op == "log":
-                valid = valid & (x > 0)
+                valid = _restrict(valid, x > 0)
             elif op in ("asin", "acos"):
-                valid = valid & (x >= -1.0) & (x <= 1.0)
-            values = _map_math(getattr(math, op), np.where(valid, x, _SAFE_INPUT))
+                valid = _restrict(valid, (x >= -1.0) & (x <= 1.0))
+            values = _map_math(getattr(math, op), n, _safe(x, valid))
     else:
-        a, valid_a = _eval_columns(expr.left, columns, n)
+        a, valid = _eval_columns(expr.left, columns, n)
         b, valid_b = _eval_columns(expr.right, columns, n)
-        valid = valid_a & valid_b
         op = expr.op
+        if type(a) is float and type(b) is float:
+            return _checked(_apply_binary(op, a, b), op), None
+        if valid_b is not None:
+            valid = valid_b if valid is None else valid & valid_b
         if op == "add":
             values = a + b
         elif op == "sub":
@@ -955,28 +1002,35 @@ def _eval_columns(expr, columns, n):
         elif op == "mul":
             values = a * b
         elif op == "div":
-            valid = valid & (b != 0)
+            if type(b) is float and b == 0:
+                raise _DomainSignal("division-by-zero")
             values = a / b
+            if type(b) is not float:
+                valid = _restrict(valid, b != 0)
+        elif type(b) is float:
+            # _apply_binary's rules for one exponent: a fractional one
+            # needs a base >= 0, a negative one a nonzero base.
+            if not b.is_integer():
+                valid = _restrict(valid, a > 0 if b < 0 else a >= 0)
+            elif b < 0:
+                valid = _restrict(valid, a != 0)
+            values = _map_math(operator.pow, n, _safe(a, valid), b)
         else:
             # Same rules as _apply_binary, then Python's own float `**`.
-            valid = valid & ~(((a < 0) & (np.floor(b) != b)) | ((a == 0) & (b < 0)))
-            values = _map_math(
-                operator.pow,
-                np.where(valid, a, _SAFE_INPUT),
-                np.where(valid, b, _SAFE_INPUT),
-            )
+            valid = _restrict(valid, ~(((a < 0) & (np.floor(b) != b)) | ((a == 0) & (b < 0))))
+            values = _map_math(operator.pow, n, _safe(a, valid), _safe(b, valid))
     # _checked: NaN and infinity fail the comparison too.
-    return values, valid & (np.abs(values) <= HUGE)
-
-
-@functools.lru_cache(maxsize=64)
-def _truth_columns(
-    truth: Expression, key: tuple, n: int, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
-    values, valid = evaluate_columns(truth, sample_columns(dict(key), n, seed), n)
-    values.flags.writeable = False
-    valid.flags.writeable = False
+    magnitudes = np.abs(values)
+    if not np.maximum.reduce(magnitudes) <= HUGE:
+        valid = _restrict(valid, magnitudes <= HUGE)
     return values, valid
+
+
+# (id(truth), domains key, seed) -> (truth, its free variables, columns,
+# values, valid mask, valid count).  Holding the truth pins its id; keying
+# on the tree itself would hash it, which costs as much as a walk.
+_TRUTHS: dict[tuple, tuple] = {}
+_TRUTHS_MAX = 64
 
 
 @dataclass(frozen=True)
@@ -1006,19 +1060,27 @@ def equivalent(
     sample points and the truth's values are cached, so repeated tests
     against one truth with one seed work on the hypothesis alone.
     """
-    missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
+    key = tuple(sorted(domains.items()))
+    entry = _TRUTHS.get((id(truth), key, seed))
+    truth_free = free_variables(truth) if entry is None else entry[1]
+    missing = (free_variables(hypothesis) | truth_free) - set(domains)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
-    key = tuple(sorted(domains.items()))
-    t_values, t_valid = _truth_columns(truth, key, EQUIV_POINTS, seed)
-    valid = int(np.count_nonzero(t_valid))
+    if entry is None:
+        columns = sample_columns(domains, EQUIV_POINTS, seed)
+        t_values, t_valid = evaluate_columns(truth, columns, EQUIV_POINTS)
+        t_values.flags.writeable = t_valid.flags.writeable = False
+        if len(_TRUTHS) >= _TRUTHS_MAX:
+            _TRUTHS.clear()
+        entry = _TRUTHS[(id(truth), key, seed)] = (
+            truth, truth_free, columns, t_values, t_valid, int(np.count_nonzero(t_valid))
+        )
+    _, _, columns, t_values, t_valid, valid = entry
     if valid < EQUIV_MIN_VALID:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"
         )
-    h_values, h_valid = evaluate_columns(
-        hypothesis, sample_columns(domains, EQUIV_POINTS, seed), EQUIV_POINTS
-    )
+    h_values, h_valid = evaluate_columns(hypothesis, columns, EQUIV_POINTS)
     shared = h_valid & t_valid
     undefined = valid - int(np.count_nonzero(shared))
     t = t_values[shared]

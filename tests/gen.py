@@ -1,18 +1,25 @@
-"""Seeded expression generators, meaning-preserving rewrites and the
-reference tree-walk evaluator for tests."""
+"""Seeded expression generators, meaning-preserving rewrites, and the
+reference tree-walk evaluator and reference parser for tests."""
 
 from __future__ import annotations
 
 import math
 import random
+import re
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 from eqgym.expr import (
+    _FUNCTION_OPS,
+    _MAX_DEPTH,
     Binary,
     Constant,
     DomainError,
     Expression,
+    ExpressionSyntaxError,
     NamedConstant,
     Unary,
+    UnknownFunctionError,
     Value,
     Variable,
     _apply_binary,
@@ -76,6 +83,237 @@ def walk_evaluate(expr: Expression, bindings):
         return Value(_walk(expr, bindings))
     except _DomainSignal as sig:
         return DomainError(sig.reason, sig.detail, sig.subject)
+
+
+# -- the reference parser -----------------------------------------------------
+# The tokenizer and parser that `parse` replaced, kept as its twin: the
+# new parser must return equal trees and raise the same errors.
+
+_NUMBER_RE = re.compile(r"(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*")
+
+@dataclass(frozen=True)
+class _Token:
+    kind: str  # NUMBER NAME OP END
+    text: str
+    offset: int  # byte offset into the UTF-8 encoding of the source
+
+
+def _tokenize(text: str) -> Iterator[_Token]:
+    """Yield the tokens of `text` on demand, then one END token, so a parse
+    that fails early never scans the rest of the text."""
+    pos = 0
+    n = len(text)
+    # The byte offset of `pos`, advanced over each stretch of text once so
+    # that tokenizing stays linear in the length of the input.
+    byte_off = 0
+    counted = 0
+    while pos < n:
+        ch = text[pos]
+        if ch.isspace():
+            pos += 1
+            continue
+        byte_off += len(text[counted:pos].encode("utf-8"))
+        counted = pos
+        if text.startswith("**", pos):
+            yield _Token("OP", "**", byte_off)
+            pos += 2
+            continue
+        if ch in "+-*/()":
+            yield _Token("OP", ch, byte_off)
+            pos += 1
+            continue
+        m = _NUMBER_RE.match(text, pos)
+        if m:
+            yield _Token("NUMBER", m.group(), byte_off)
+            pos = m.end()
+            continue
+        m = _NAME_RE.match(text, pos)
+        if m:
+            yield _Token("NAME", m.group(), byte_off)
+            pos = m.end()
+            continue
+        raise ExpressionSyntaxError(
+            f"unexpected character {ch!r} at byte {byte_off}",
+            byte_off,
+            ("number", "identifier", "operator", "'('", "')'"),
+        )
+    yield _Token("END", "", len(text.encode("utf-8")))
+
+
+class _Parser:
+    """Recursive descent over a lazy token stream.
+
+    Each rule returns its node with the node's tree height (a leaf is 1),
+    and every node built is checked against _MAX_DEPTH at once: a long
+    flat chain such as `a+b+...` is built by a loop, not by recursion, so
+    the recursion cap alone would not bound it.
+    """
+
+    def __init__(self, text: str):
+        self._tokens = _tokenize(text)
+        self._ahead: list[_Token] = []  # pulled, not yet consumed
+        self.depth = 0
+
+    def peek(self, ahead: int = 0) -> _Token:
+        while len(self._ahead) <= ahead:
+            if self._ahead and self._ahead[-1].kind == "END":
+                return self._ahead[-1]
+            self._ahead.append(next(self._tokens))
+        return self._ahead[ahead]
+
+    def advance(self) -> _Token:
+        tok = self.peek()
+        if tok.kind != "END":
+            self._ahead.pop(0)
+        return tok
+
+    def fail(self, expected: tuple[str, ...]) -> ExpressionSyntaxError:
+        tok = self.peek()
+        found = "end of input" if tok.kind == "END" else repr(tok.text)
+        return ExpressionSyntaxError(
+            f"syntax error at byte {tok.offset}: unexpected {found}, "
+            f"expected one of: {', '.join(expected)}",
+            tok.offset,
+            expected,
+        )
+
+    def enter(self):
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            tok = self.peek()
+            raise ExpressionSyntaxError(
+                f"expression nested too deeply at byte {tok.offset}", tok.offset, ()
+            )
+
+    def leave(self):
+        self.depth -= 1
+
+    @staticmethod
+    def _built(node: Expression, height: int) -> tuple[Expression, int]:
+        if height > _MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}", 0, ()
+            )
+        return node, height
+
+    def expression(self) -> tuple[Expression, int]:
+        self.enter()
+        node, height = self.multiplicative()
+        while self.peek().kind == "OP" and self.peek().text in ("+", "-"):
+            op = "add" if self.advance().text == "+" else "sub"
+            right, right_height = self.multiplicative()
+            node, height = self._built(
+                Binary(op, node, right), 1 + max(height, right_height)
+            )
+        self.leave()
+        return node, height
+
+    def multiplicative(self) -> tuple[Expression, int]:
+        node, height = self.unary()
+        while self.peek().kind == "OP" and self.peek().text in ("*", "/"):
+            op = "mul" if self.advance().text == "*" else "div"
+            right, right_height = self.unary()
+            node, height = self._built(
+                Binary(op, node, right), 1 + max(height, right_height)
+            )
+        return node, height
+
+    def unary(self) -> tuple[Expression, int]:
+        self.enter()
+        try:
+            if self.peek().kind == "OP" and self.peek().text == "-":
+                self.advance()
+                # A minus directly over a number literal folds into a negative
+                # constant, except when `**` follows: `-3**2` is -(3**2).
+                nxt = self.peek()
+                if nxt.kind == "NUMBER" and not (
+                    self.peek(1).kind == "OP" and self.peek(1).text == "**"
+                ):
+                    self.advance()
+                    return Constant(-self._number(nxt)), 1
+                operand, height = self.unary()
+                return self._built(Unary("neg", operand), height + 1)
+            return self.power()
+        finally:
+            self.leave()
+
+    def power(self) -> tuple[Expression, int]:
+        base, height = self.atom()
+        if self.peek().kind == "OP" and self.peek().text == "**":
+            self.advance()
+            exponent, exponent_height = self.unary()
+            return self._built(
+                Binary("pow", base, exponent), 1 + max(height, exponent_height)
+            )
+        return base, height
+
+    def atom(self) -> tuple[Expression, int]:
+        tok = self.peek()
+        if tok.kind == "NUMBER":
+            self.advance()
+            return Constant(self._number(tok)), 1
+        if tok.kind == "NAME":
+            self.advance()
+            return self._name(tok)
+        if tok.kind == "OP" and tok.text == "(":
+            self.advance()
+            self.enter()
+            built = self.expression()
+            self.leave()
+            closing = self.peek()
+            if closing.kind == "OP" and closing.text == ")":
+                self.advance()
+                return built
+            raise self.fail(("')'",))
+        raise self.fail(("number", "identifier", "'('", "'-'"))
+
+    def _number(self, tok: _Token) -> float:
+        v = float(tok.text)
+        if not math.isfinite(v):
+            raise ExpressionSyntaxError(
+                f"number literal out of range at byte {tok.offset}", tok.offset, ()
+            )
+        return v
+
+    def _name(self, tok: _Token) -> tuple[Expression, int]:
+        name = tok.text
+        calls = self.peek().kind == "OP" and self.peek().text == "("
+        if name == "np.pi":
+            if calls:
+                raise UnknownFunctionError(name, tok.offset)
+            return NamedConstant("pi"), 1
+        if "." in name:
+            prefix, _, fn = name.partition(".")
+            if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
+                raise UnknownFunctionError(name, tok.offset)
+            return self._call(fn)
+        if calls:
+            if name not in _FUNCTION_OPS:
+                raise UnknownFunctionError(name, tok.offset)
+            return self._call(name)
+        return Variable(name), 1
+
+    def _call(self, fn: str) -> tuple[Expression, int]:
+        self.advance()  # consume '('
+        self.enter()
+        arg, height = self.expression()
+        self.leave()
+        closing = self.peek()
+        if not (closing.kind == "OP" and closing.text == ")"):
+            raise self.fail(("')'",))
+        self.advance()
+        return self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
+
+
+def reference_parse(text: str) -> Expression:
+    """`parse` as the one-token-at-a-time tokenizer and peek/advance
+    parser did it."""
+    parser = _Parser(text)
+    node, _ = parser.expression()
+    if parser.peek().kind != "END":
+        raise parser.fail(("operator", "end of input"))
+    return node
 
 
 # Ops whose magnitudes stay tame on moderate inputs; log/sqrt/div/pow are

@@ -240,3 +240,23 @@ def test_int_beyond_float_range_is_out_of_domain(big):
     assert out.subject == "F"
     shown = "inf" if big > 0 else "-inf"
     assert out.detail == f"F = {shown} outside its admissible range"
+
+
+@pytest.mark.parametrize("value", ["2.5", True, False, None, [1.0], complex(1, 0)],
+                         ids=["numeric-str", "True", "False", "None", "list", "complex"])
+def test_value_that_is_not_an_int_or_float_is_out_of_domain(value):
+    hooke = next(e for e in bundled_environments() if e.env_id == "hooke")
+    out = run_experiment(hooke, {"F": value, "k": 1.0})
+    assert out == DomainError("out-of-domain", "F must be a number", "F")
+    out = run_experiment(hooke, {"F": 2.0, "k": value})
+    assert out == DomainError("out-of-domain", "k must be a number", "k")
+
+
+def test_ints_and_float_subclasses_still_run():
+    hooke = next(e for e in bundled_environments() if e.env_id == "hooke")
+    assert run_experiment(hooke, {"F": 3, "k": 2}) == Value(1.5)
+
+    class Reading(float):
+        pass
+
+    assert run_experiment(hooke, {"F": Reading(3.0), "k": 2.0}) == Value(1.5)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from eqgym.expr import (
     EquivalenceVerdict,
     UnboundVariableError,
     VariableDomain,
+    _sampled,
     equivalent,
     evaluate,
     evaluate_columns,
@@ -183,15 +186,75 @@ def test_sample_columns_match_sample_assignments(env):
         _assert_same_points(domains, 200, seed)
 
 
+# No float lies strictly between 1.0 and its successor, so every draw for
+# `b` is rejected and the rejections shift the draws for `c`.
+_REJECTING_DOMAINS = {
+    "a": VariableDomain(0.5, 2.0),
+    "b": VariableDomain(1.0, math.nextafter(1.0, 2.0), lower_closed=False, upper_closed=False),
+    "c": VariableDomain(1e-3, 1e3),
+}
+
+
 def test_sample_columns_fall_back_when_a_draw_is_rejected():
-    # No float lies strictly between 1.0 and its successor, so every draw
-    # for `b` is rejected; the rejections shift the draws for `c`.
-    empty = VariableDomain(1.0, math.nextafter(1.0, 2.0),
-                           lower_closed=False, upper_closed=False)
-    domains = {"a": VariableDomain(0.5, 2.0), "b": empty,
-               "c": VariableDomain(1e-3, 1e3)}
     for seed in range(5):
-        _assert_same_points(domains, 50, seed)
+        _assert_same_points(_REJECTING_DOMAINS, 50, seed)
+
+
+# Seeds of one, two, three and four 32-bit words, each side of a word
+# boundary, and a negative one.
+_EDGE_SEEDS = [0, 1, 99, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**100 + 3, -5]
+
+
+def _twin_domain_sets():
+    sets = [{v.name: v.domain for v in env.inputs + env.dummies}
+            for env in bundled_environments()]
+    return sets + [_REJECTING_DOMAINS]
+
+
+def test_sample_columns_match_sample_assignments_over_seed_lengths():
+    rng = random.Random(64)
+    seeds = _EDGE_SEEDS + [rng.getrandbits(64) for _ in range(200)]
+    for domains in _twin_domain_sets():
+        for seed in seeds:
+            _assert_same_points(domains, 200, seed)
+    # Seeds that are not ints are replayed point by point.
+    for seed in (True, 2.5, "abc", b"abc"):
+        _assert_same_points(_twin_domain_sets()[0], 50, seed)
+
+
+def test_sample_columns_are_right_on_racing_threads():
+    domains = _twin_domain_sets()
+    seeds = [[t * 1000 + i for i in range(40)] for t in range(8)]
+    expected = {
+        (t, i, j): sample_assignments(domains[j], 50, seed)
+        for t, row in enumerate(seeds) for i, seed in enumerate(row)
+        for j in range(len(domains))
+    }
+    _sampled.cache_clear()
+    start = threading.Barrier(8)
+    got = {}
+
+    def draw(t):
+        start.wait()
+        for i, seed in enumerate(seeds[t]):
+            for j, d in enumerate(domains):
+                got[t, i, j] = sample_columns(d, 50, seed)
+
+    threads = [threading.Thread(target=draw, args=(t,)) for t in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads between reseed and draw
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got.keys() == expected.keys()
+    for k, points in expected.items():
+        for name, column in got[k].items():
+            assert _bits(column) == _bits([p[name] for p in points]), k
 
 
 _TWIN_DOMAINS = {
@@ -222,6 +285,31 @@ def test_evaluate_columns_matches_evaluate(span, tame):
         ), expr
         invalid += expected.count(False)
     assert invalid > 0  # the error paths were exercised
+
+
+_EDGE_VALUES = [0.0, -0.0, -2.0, -0.5, 0.5, 3.0, -3.0, 1e300, -1e300, 1e200,
+                -1e200, 1e155, 1e-200, 5e-324, 1.7e308, -1.7e308]
+
+
+@pytest.mark.parametrize("template", [
+    "x**{e}", "(x*y)**{e}", "(x - y)**{e}", "{e}**x", "(-{e})**x", "x**y*{e}",
+    "np.sqrt(208/23)*x**{e}", "x + 1e200*1e200", "x*0 + np.log(-1)", "x/(1-1)",
+    "x/{e}", "{e}/x", "x*y + np.exp({e})", "np.sqrt({e} - 1) + x", "-(x**{e})",
+    "np.abs(x)**{e} - {e}**2", "np.exp(x*{e})", "0**x", "0**(-{e})*x",
+])
+@pytest.mark.parametrize("e", ["-1", "2", "0.5", "-0.5", "3", "1e308"])
+def test_evaluate_columns_matches_evaluate_on_edge_values(template, e):
+    text = template.format(e=e)
+    expr = parse(text)
+    xs = [x for x in _EDGE_VALUES for _ in _EDGE_VALUES]
+    ys = [y for _ in _EDGE_VALUES for y in _EDGE_VALUES]
+    n = len(xs)
+    values, valid = evaluate_columns(expr, {"x": np.array(xs), "y": np.array(ys)}, n)
+    outcomes = [evaluate(expr, {"x": x, "y": y}) for x, y in zip(xs, ys)]
+    assert valid.tolist() == [not isinstance(o, DomainError) for o in outcomes], text
+    assert _bits(values[valid]) == _bits(
+        [o.value for o in outcomes if not isinstance(o, DomainError)]
+    ), text
 
 
 def _scalar_equivalent(hypothesis, truth, domains, seed=0):

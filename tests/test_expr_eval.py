@@ -111,3 +111,12 @@ def test_evaluate_never_raises_on_fuzz():
 def test_int_binding_beyond_float_range_is_overflow(big):
     # 10**5000 has more digits than the interpreter converts to text.
     assert val("x*2", x=big) == DomainError("overflow", "x")
+
+
+@pytest.mark.parametrize("binding", ["a", None, [1], {}, object()],
+                         ids=["str", "None", "list", "dict", "object"])
+def test_binding_that_is_not_a_number_is_a_domain_error(binding):
+    out = val("x*2", x=binding)
+    assert isinstance(out, DomainError)
+    assert out.reason == "not-a-number"
+    assert out.subject == "x"

@@ -6,6 +6,7 @@ import pytest
 from eqgym.expr import (
     Binary,
     Constant,
+    ExpressionError,
     ExpressionSyntaxError,
     NamedConstant,
     Unary,
@@ -15,7 +16,7 @@ from eqgym.expr import (
     parse,
     render,
 )
-from gen import random_expression
+from gen import random_expression, reference_parse
 
 
 def test_division_shape():
@@ -208,3 +209,70 @@ def test_round_trip_seeded():
     for _ in range(400):
         expr = random_expression(rng, names, depth=5, tame=False)
         assert parse(render(expr)) == expr
+
+
+# --------------------------------------------------------------------------
+# The parser against its reference twin
+
+
+def _outcome(parse_fn, text):
+    try:
+        return parse_fn(text)
+    except ExpressionError as exc:
+        return type(exc), str(exc), exc.offset, getattr(exc, "expected", None)
+
+
+_TRICKY = [
+    "-3**2", "-3", "--3", "- 3 ** -2", "-1e999", "-1e999**2", "-1e999 $", "1e999 $",
+    "np.pi", "np.pi(x)", "np.foo(x)", "foo(x)", "x.y", "sqrt", "np.sqrt", "np.sqrt(x",
+    "2*np.sqrt(l/g)", ".5e-3*x", "5.e+3", "x**-2**3", "( x )", "x ) $", "", "   ",
+    "\u3000x\u3000", "x\u3000+ * y", "π + x", "x π", "\ud800", "x + \ud800",
+    "٣*x", "x $ 1e999", "np.sqrt(x)$", "(x))", "((x)", "x**", "**x", "x y",
+]
+for _k in (198, 199, 200, 201):
+    _TRICKY += [
+        "-" * _k + "3**2", "-" * _k + "x", "-" * _k + "3", "(" * _k + "x" + ")" * _k,
+        "(" * _k + "-3**2" + ")" * _k, "np.sqrt(" * _k + "x" + ")" * _k,
+        "x**" * _k + "2", "x+" * _k + "x", "np.sqrt(" * _k + "x" + ")" * _k + " $",
+        # A flat chain inside a call or a minus: the outer node is too tall.
+        "np.sqrt(" + "x+" * (_k - 1) + "x) $", "-(" + "x+" * (_k - 1) + "x) $",
+        "-(" + "x+" * (_k - 1) + "x)**2 $", "-2**(" + "x+" * (_k - 1) + "x) $",
+    ]
+
+_INSERTS = "()+-*/.eE0123456789xyz_ np$!,^π٣"
+_WIDE_SPACES = ("\u3000", "\xa0", "\u2009", "\u2028", "\x85", "\t")
+
+
+def _mutate(rng, text):
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(text) + 1)
+        r = rng.random()
+        if r < 0.3 and i < len(text):
+            text = text[:i] + text[i + 1:]  # delete
+        elif r < 0.55 and i < len(text):
+            text = text[:i] + text[i] + text[i:]  # double
+        elif r < 0.85:
+            text = text[:i] + rng.choice(_INSERTS) + text[i:]
+        else:
+            text = text[:i] + rng.choice(_WIDE_SPACES) + text[i:]
+    return text
+
+
+def test_parse_matches_the_reference_parser():
+    rng = random.Random(2026)
+    corpus = list(_TRICKY)
+    for i in range(400):
+        expr = random_expression(rng, ("x", "y", "F_1"), depth=5, tame=i % 2 == 0)
+        corpus.append(render(expr))
+    texts = corpus + [_mutate(rng, rng.choice(corpus)) for _ in range(20_000)]
+    errors = set()
+    for text in texts:
+        expected = _outcome(reference_parse, text)
+        assert _outcome(parse, text) == expected, text
+        if isinstance(expected, tuple):
+            errors.add(expected[0].__name__ + ":" + expected[1].split(" at byte")[0].split(":")[0])
+    # Every kind of failure was exercised.
+    assert {"ExpressionSyntaxError:unexpected character '$'", "ExpressionSyntaxError:syntax error",
+            "UnknownFunctionError:unknown function 'foo'",
+            "ExpressionSyntaxError:number literal out of range",
+            "ExpressionSyntaxError:expression nested too deeply"} <= errors, errors
