@@ -26,7 +26,7 @@ from random import Random
 
 import numpy as np
 
-from .expr import VariableDomain
+from .expr import VariableDomain, draw
 from .session import ObservationPacket
 
 
@@ -97,7 +97,7 @@ class RandomAgent:
     """Proposes in-domain random experiments and never hypothesizes."""
 
     def __init__(self, domains: Mapping[str, VariableDomain], seed: int, batch: int):
-        self.domains = dict(domains)
+        self.plans = [(name, domain.draw_plan) for name, domain in domains.items()]
         self.rng = Random(seed)
         self.batch = batch
 
@@ -106,10 +106,9 @@ class RandomAgent:
         if remaining <= 0:
             return _noop()
         count = min(self.batch, remaining)
-        proposals = [
-            {name: domain.sample(self.rng) for name, domain in self.domains.items()}
-            for _ in range(count)
-        ]
+        # VariableDomain.sample's draws, from one stream.
+        uniform, plans = self.rng.random, self.plans
+        proposals = [{name: draw(plan, uniform) for name, plan in plans} for _ in range(count)]
         return AgentTurn(proposals, False, "")
 
     def close(self) -> None:

@@ -4,6 +4,7 @@ prior-masked view an agent is allowed to see."""
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -135,6 +136,15 @@ class EnvironmentSpec:
 
     def domains(self) -> dict[str, VariableDomain]:
         return {v.name: v.domain for v in self.controllables()}
+
+    @functools.cached_property
+    def check_plan(self) -> tuple[frozenset[str], tuple[tuple, ...]]:
+        """run_experiment's constants, worked out on first use: the names to
+        bind, and (name, domain, lower, upper) for each controllable."""
+        controllables = self.controllables()
+        return frozenset(v.name for v in controllables), tuple(
+            (v.name, v.domain, v.domain.lower, v.domain.upper) for v in controllables
+        )
 
 
 def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
@@ -337,40 +347,40 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
     DomainError with the offending variable/constraint in `subject`;
     otherwise the equation's own outcome is returned.
     """
-    controllables = env.controllables()
-    expected = {v.name for v in controllables}
+    expected, checks = env.check_plan
     if assignment.keys() != expected:
         raise ValueError(
             f"{env.env_id}: assignment must bind exactly {sorted(expected)}, "
             f"got {sorted(assignment)}"
         )
-    inputs_only = {}
-    for v in controllables:
-        value = assignment[v.name]
+    inputs = assignment  # copied only if a value needs converting
+    for name, domain, lower, upper in checks:
+        value = assignment[name]
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return DomainError(
-                    "out-of-domain", f"{v.name} must be a number", subject=v.name
+                    "out-of-domain", f"{name} must be a number", subject=name
                 )
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
                 value = math.inf if value > 0 else -math.inf
-        if not v.domain.contains(value):
+            inputs = dict(inputs)
+            inputs[name] = value
+        if not lower < value < upper and not domain.contains(value):
             return DomainError(
                 "out-of-domain",
-                f"{v.name} = {value!r} outside its admissible range",
-                subject=v.name,
+                f"{name} = {value!r} outside its admissible range",
+                subject=name,
             )
-        inputs_only[v.name] = value
     for constraint in env.validity:
-        if not constraint.holds(inputs_only):
+        if not constraint.holds(inputs):
             return DomainError(
                 "validity",
                 f"constraint {constraint.rendered()} violated",
                 subject=constraint.rendered(),
             )
-    return evaluate(env.equation, inputs_only)
+    return evaluate(env.equation, inputs)
 
 
 @dataclass(frozen=True)

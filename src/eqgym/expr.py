@@ -407,28 +407,45 @@ def render(expr: Expression) -> str:
 
 
 def free_variables(expr: Expression) -> frozenset[str]:
-    if isinstance(expr, Variable):
-        return frozenset((expr.name,))
-    if isinstance(expr, Unary):
-        return free_variables(expr.operand)
-    if isinstance(expr, Binary):
-        return free_variables(expr.left) | free_variables(expr.right)
-    return frozenset()
+    """The variable names in a tree.  Trees are immutable, so the set is
+    kept on the root after the first query; rename_variables renames a
+    kept set along with the tree."""
+    free = expr.__dict__.get("_free")
+    if free is None:
+        free = expr.__dict__["_free"] = _variable_names(expr)
+    return free
+
+
+def _variable_names(expr: Expression) -> frozenset[str]:
+    names, stack = set(), [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Variable):
+            names.add(node.name)
+        elif isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += (node.left, node.right)
+    return frozenset(names)
 
 
 def rename_variables(expr: Expression, mapping: Mapping[str, str]) -> Expression:
     """Rewrite variable names; names absent from the mapping are kept."""
+    renamed = _renamed(expr, mapping)
+    free = expr.__dict__.get("_free")
+    if free is not None:
+        renamed.__dict__["_free"] = frozenset(mapping.get(name, name) for name in free)
+    return renamed
+
+
+def _renamed(expr: Expression, mapping: Mapping[str, str]) -> Expression:
     if isinstance(expr, Variable):
         new = mapping.get(expr.name)
         return Variable(new) if new is not None else expr
     if isinstance(expr, Unary):
-        return Unary(expr.op, rename_variables(expr.operand, mapping))
+        return Unary(expr.op, _renamed(expr.operand, mapping))
     if isinstance(expr, Binary):
-        return Binary(
-            expr.op,
-            rename_variables(expr.left, mapping),
-            rename_variables(expr.right, mapping),
-        )
+        return Binary(expr.op, _renamed(expr.left, mapping), _renamed(expr.right, mapping))
     return expr
 
 
@@ -816,26 +833,40 @@ class VariableDomain:
             return False
         return self.lower > 0 and self.upper / self.lower > 100.0
 
-    def sample(self, rng: random.Random) -> float:
+    @functools.cached_property
+    def draw_plan(self) -> tuple:
+        """(lo, span, log, lower, upper, domain): random.uniform's bounds,
+        on the log scale when log_scaled(), worked out on first use."""
         log = self.log_scaled()
         lo, hi = (math.log(self.lower), math.log(self.upper)) if log else (self.lower, self.upper)
-        span = hi - lo
-        for _ in range(64):
-            v = lo + span * rng.random()  # random.uniform(lo, hi)
-            if log:
-                v = math.exp(v)
-            if self.contains(v):
-                return v
-        return (self.lower + self.upper) / 2.0
+        return lo, hi - lo, log, self.lower, self.upper, self
+
+    def sample(self, rng: random.Random) -> float:
+        return draw(self.draw_plan, rng.random)
+
+
+def draw(plan: tuple, uniform) -> float:
+    """A value from a domain's draw_plan and a random.Random's random method:
+    up to 64 draws until the domain contains one, else its midpoint."""
+    lo, span, log, lower, upper, domain = plan
+    attempts = 64
+    while attempts:
+        v = lo + span * uniform()  # random.uniform(lo, hi)
+        if log:
+            v = math.exp(v)
+        if lower < v < upper or domain.contains(v):
+            return v
+        attempts -= 1
+    return (lower + upper) / 2.0
 
 
 def sample_assignments(
     domains: Mapping[str, VariableDomain], n: int, seed: int
 ) -> list[dict[str, float]]:
     """Draw n assignment points, deterministically for a given seed."""
-    rng = random.Random(seed)
-    names = sorted(domains)
-    return [{name: domains[name].sample(rng) for name in names} for _ in range(n)]
+    uniform = random.Random(seed).random
+    plans = [(name, domains[name].draw_plan) for name in sorted(domains)]
+    return [{name: draw(plan, uniform) for name, plan in plans} for _ in range(n)]
 
 
 def sample_columns(
@@ -886,11 +917,10 @@ def _drawn(key: tuple, n: int, seed: int) -> list[np.ndarray] | None:
     draws = _uniforms(seed, n * len(key)).reshape(n, len(key))
     columns, logged = [], []
     for j, (_, domain) in enumerate(key):
-        lo, hi = domain.lower, domain.upper
-        if domain.log_scaled():
-            lo, hi = math.log(lo), math.log(hi)
+        lo, span, log = domain.draw_plan[:3]
+        if log:
             logged.append(j)
-        columns.append(lo + (hi - lo) * draws[:, j])
+        columns.append(lo + span * draws[:, j])
     if logged:  # libm's exp, not np.exp, which differs in the last bit
         exps = np.concatenate([columns[j] for j in logged]).tolist()
         exps = np.fromiter(map(math.exp, exps), float, len(exps))
@@ -1026,9 +1056,9 @@ def _eval_columns(expr, columns, n):
     return values, valid
 
 
-# (id(truth), domains key, seed) -> (truth, its free variables, columns,
-# values, valid mask, valid count).  Holding the truth pins its id; keying
-# on the tree itself would hash it, which costs as much as a walk.
+# (id(truth), domains key, seed) -> (truth, columns, values, valid mask, valid
+# count).  Holding the truth pins its id; keying on the tree itself would
+# hash it, which costs as much as a walk.
 _TRUTHS: dict[tuple, tuple] = {}
 _TRUTHS_MAX = 64
 
@@ -1060,22 +1090,21 @@ def equivalent(
     sample points and the truth's values are cached, so repeated tests
     against one truth with one seed work on the hypothesis alone.
     """
-    key = tuple(sorted(domains.items()))
-    entry = _TRUTHS.get((id(truth), key, seed))
-    truth_free = free_variables(truth) if entry is None else entry[1]
-    missing = (free_variables(hypothesis) | truth_free) - set(domains)
+    missing = (free_variables(hypothesis) | free_variables(truth)) - set(domains)
     if missing:
         raise UnboundVariableError(sorted(missing)[0])
+    key = (id(truth), tuple(sorted(domains.items())), seed)
+    entry = _TRUTHS.get(key)
     if entry is None:
         columns = sample_columns(domains, EQUIV_POINTS, seed)
         t_values, t_valid = evaluate_columns(truth, columns, EQUIV_POINTS)
         t_values.flags.writeable = t_valid.flags.writeable = False
         if len(_TRUTHS) >= _TRUTHS_MAX:
             _TRUTHS.clear()
-        entry = _TRUTHS[(id(truth), key, seed)] = (
-            truth, truth_free, columns, t_values, t_valid, int(np.count_nonzero(t_valid))
+        entry = _TRUTHS[key] = (
+            truth, columns, t_values, t_valid, int(np.count_nonzero(t_valid))
         )
-    _, _, columns, t_values, t_valid, valid = entry
+    _, columns, t_values, t_valid, valid = entry
     if valid < EQUIV_MIN_VALID:
         return EquivalenceVerdict(
             False, "none", valid, None, "insufficient domain overlap"

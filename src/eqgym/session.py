@@ -288,7 +288,7 @@ class Session:
         return outcome
 
     def _proposal_problem(self, proposal) -> str | None:
-        if not isinstance(proposal, Mapping):
+        if type(proposal) is not dict and not isinstance(proposal, Mapping):
             return "proposal must be an object of variable assignments"
         expected = self._to_true.keys()
         if proposal.keys() != expected:

@@ -1,12 +1,13 @@
 """Seeded expression generators, meaning-preserving rewrites, and the
-reference tree-walk evaluator and reference parser for tests."""
+reference tree-walk evaluator, parser, domain sampler and experiment
+runner for tests."""
 
 from __future__ import annotations
 
 import math
 import random
 import re
-from collections.abc import Iterator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from eqgym.expr import (
@@ -22,6 +23,7 @@ from eqgym.expr import (
     UnknownFunctionError,
     Value,
     Variable,
+    evaluate,
     _apply_binary,
     _apply_unary,
     _checked,
@@ -462,3 +464,58 @@ def perturb(rng: random.Random, expr: Expression) -> Expression:
     """Scale by (1 + delta) with |delta| >= 1e-3: never equivalent."""
     delta = rng.uniform(1e-3, 0.5) * rng.choice([-1.0, 1.0])
     return Binary("mul", Constant(1.0 + delta), expr)
+
+
+# -- the reference sampler and experiment runner ------------------------------
+# VariableDomain.sample and run_experiment as they were before each domain
+# and environment kept a precomputed plan: the draws and the checks must
+# match them bit for bit.
+
+def reference_sample(domain, rng: random.Random) -> float:
+    log = domain.log_scaled()
+    lo, hi = (math.log(domain.lower), math.log(domain.upper)) if log else (domain.lower, domain.upper)
+    span = hi - lo
+    for _ in range(64):
+        v = lo + span * rng.random()  # random.uniform(lo, hi)
+        if log:
+            v = math.exp(v)
+        if domain.contains(v):
+            return v
+    return (domain.lower + domain.upper) / 2.0
+
+
+def reference_run_experiment(env, assignment: Mapping[str, float]):
+    controllables = env.controllables()
+    expected = {v.name for v in controllables}
+    if assignment.keys() != expected:
+        raise ValueError(
+            f"{env.env_id}: assignment must bind exactly {sorted(expected)}, "
+            f"got {sorted(assignment)}"
+        )
+    inputs_only = {}
+    for v in controllables:
+        value = assignment[v.name]
+        if type(value) is not float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                return DomainError(
+                    "out-of-domain", f"{v.name} must be a number", subject=v.name
+                )
+            try:
+                value = float(value)
+            except OverflowError:  # an int beyond float range
+                value = math.inf if value > 0 else -math.inf
+        if not v.domain.contains(value):
+            return DomainError(
+                "out-of-domain",
+                f"{v.name} = {value!r} outside its admissible range",
+                subject=v.name,
+            )
+        inputs_only[v.name] = value
+    for constraint in env.validity:
+        if not constraint.holds(inputs_only):
+            return DomainError(
+                "validity",
+                f"constraint {constraint.rendered()} violated",
+                subject=constraint.rendered(),
+            )
+    return evaluate(env.equation, inputs_only)

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from eqgym import expr
 from eqgym.agents import agent_from_spec
 from eqgym.environment import LEVELS, bundled_environments
 from eqgym.expr import EQUIV_POINTS
@@ -118,6 +119,28 @@ def test_each_experiment_is_flattened_once(monkeypatch):
                              experiments_quota=400, seed=11)
     assert transcript["experiments_used"] == 400
     assert len(calls) == transcript["experiments_used"]
+
+
+def test_each_hypothesis_is_walked_for_its_variables_once(monkeypatch):
+    # The session's unknown-identifier check and the oracle's unbound-
+    # variable check each walked a tested hypothesis for its free
+    # variables.  The set is now kept on the tree and renamed with it.
+    environments = bundled_environments()  # their laws are walked on load
+    walks = []
+    original = expr._variable_names
+
+    def counting(tree):
+        walks.append(tree)
+        return original(tree)
+
+    monkeypatch.setattr(expr, "_variable_names", counting)
+    hypotheses = []
+    for env in environments:
+        for level in ("L1", "L4"):
+            transcript = run_session(env, level, agent_from_spec("scripted:power_law"), seed=5)
+            hypotheses += transcript["hypotheses"]
+    assert sum(h["tested"] for h in hypotheses) >= 20
+    assert len(walks) == len(hypotheses) == sum(h["parsed"] for h in hypotheses)
 
 
 def test_malformed_proposals_cost_nothing():
