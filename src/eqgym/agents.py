@@ -383,6 +383,11 @@ def _act_with_retries(send: Callable[[str | None], str],
 # --------------------------------------------------------------------------
 # Subprocess transport: one process per session, line-delimited JSON
 
+# How long close() gives a child to exit after its input ends, and again
+# after SIGTERM, before SIGKILL.
+_CLOSE_GRACE_S = 5.0
+
+
 class SubprocessAgent:
     def __init__(self, command: str):
         self.process = subprocess.Popen(
@@ -396,10 +401,12 @@ class SubprocessAgent:
         # the child, which ends a blocked write or readline (unless a process
         # the child started still holds the pipes).  Polling the pipes
         # instead would add a GIL release to every turn, and under a thread
-        # pool each release can hand the interpreter to a busy cell.
+        # pool each release can hand the interpreter to a busy cell.  It
+        # also bounds close(), which blocks until the child exits.
         self._deadline: float | None = None
         self._timed_out = False
-        self._closed = threading.Event()
+        self._closing = threading.Event()
+        self._reaped = threading.Event()
         self._watchdog = threading.Thread(target=self._watch, daemon=True)
         self._watchdog.start()
         self._encoder = PacketEncoder()
@@ -413,8 +420,12 @@ class SubprocessAgent:
                 self.process.kill()
                 return
             wait = AGENT_TIMEOUT_S if deadline is None else deadline - now
-            if self._closed.wait(wait):
+            if self._closing.wait(wait):
+                break
+        for stop in (self.process.terminate, self.process.kill):
+            if self._reaped.wait(_CLOSE_GRACE_S):
                 return
+            stop()
 
     def _exchange(self, line: str) -> str:
         """Send one encoded packet line (no newline); return the reply line."""
@@ -448,24 +459,19 @@ class SubprocessAgent:
         )
 
     def close(self) -> None:
-        self._closed.set()
-        self._watchdog.join()
         # Close both pipes and reap the child even when it already exited,
-        # so no file descriptor or zombie outlives the session.
+        # so no file descriptor or zombie outlives the session.  The child
+        # sees the end of its input; one that does not exit on it gets
+        # SIGTERM from the watchdog, and then SIGKILL.
         for stream in (self.process.stdin, self.process.stdout):
             try:
                 stream.close()
             except OSError:
                 pass
-        try:
-            self.process.wait(timeout=5)
-        except subprocess.TimeoutExpired:
-            self.process.terminate()
-            try:
-                self.process.wait(timeout=5)
-            except subprocess.TimeoutExpired:
-                self.process.kill()
-                self.process.wait()
+        self._closing.set()
+        self.process.wait()
+        self._reaped.set()
+        self._watchdog.join()
 
 
 @dataclass

@@ -89,6 +89,11 @@ class Constraint:
             right = rename_variables(right, naming)
         return f"{render(left)} {self.op} {render(right)}"
 
+    @functools.cached_property
+    def text(self) -> str:
+        """The constraint in true names, rendered on first use."""
+        return self.rendered()
+
     def holds(self, assignment: Mapping[str, float]) -> bool:
         a = evaluate(self.left, assignment)
         b = evaluate(self.right, assignment)
@@ -316,7 +321,7 @@ def spec_to_dict(env: EnvironmentSpec) -> dict:
         "equation": env.equation_text,
     }
     if env.validity:
-        data["validity"] = [c.rendered() for c in env.validity]
+        data["validity"] = [c.text for c in env.validity]
     if env.difficulty_group is not None:
         data["difficulty_group"] = env.difficulty_group
     if env.metadata:
@@ -377,8 +382,8 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
         if not constraint.holds(inputs):
             return DomainError(
                 "validity",
-                f"constraint {constraint.rendered()} violated",
-                subject=constraint.rendered(),
+                f"constraint {constraint.text} violated",
+                subject=constraint.text,
             )
     return evaluate(env.equation, inputs)
 

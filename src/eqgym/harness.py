@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import json
 import multiprocessing
 import os
@@ -23,11 +22,13 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 from .agents import HttpAgentFactory, agent_from_spec
 from .environment import (
@@ -267,89 +268,192 @@ def _split_budget(threaded: list[bool], budget: int,
     """Return the fork pool's processes and the caller's cell threads.
 
     threaded marks the cells that must run in the caller (HTTP cells).  On
-    Linux with a budget above one, the other cells go to the fork pool.
-    The pool gets the budget less the HTTP cells' share of it, at least one
-    worker each and no more processes than forked cells; running both
-    pools at the full budget oversubscribes the CPUs and lengthens the
-    turn-gap tail.  There are as many threads as an HTTP-only plan gets,
-    but _run_cells starts an HTTP cell only on budget that busy fork
-    workers leave free, so HTTP cells take over the share of idle ones.
-    capped means the budget is the default CPU count, which says nothing
-    of how many requests an endpoint should take at once: then
-    HTTP_PARALLEL_CAP bounds the threads and the pool gets the rest.
+    Linux with a budget above one, the other cells go to the fork pool,
+    which gets the budget but no more processes than forked cells;
+    otherwise every cell runs on a thread.  There are as many threads as
+    the budget, except that when it is the default CPU count (capped),
+    which says nothing of how many requests an endpoint should take at
+    once, HTTP_PARALLEL_CAP bounds the threads of a plan with HTTP cells.
+    The processes and threads may outnumber the budget: _run_cells runs no
+    more than budget cells at once on both together.
     """
     http = sum(threaded)
     threads = min(budget, HTTP_PARALLEL_CAP) if http and capped else budget
     if budget > 1 and sys.platform.startswith("linux") and http < len(threaded):
-        if not http:
-            return budget, 0
-        share = min(max(round(budget * http / len(threaded)), 1), budget - 1, threads)
-        return min(budget - share, len(threaded) - http), threads
+        return min(budget, len(threaded) - http), threads if http else 0
     return 0, threads
 
 
 def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     """Yield every cell's document, in cell order.
 
-    HTTP cells run on threads in the caller, where a custom transport's
-    state stays visible; on Linux the other cells run on a fork-started
-    process pool beside them (see _split_budget).  A thread starts its
-    cell only while fewer than budget cells run on both pools together.
+    On Linux with a budget above one, the non-HTTP cells run in chunks on
+    a fork-started process pool (see _split_budget), and a plan of only
+    such cells submits every chunk at once.  HTTP cells run on threads in
+    the caller, where a custom transport's state stays visible, and so does
+    every cell when there is no pool.  Beside the threads, one dispatcher
+    starts the units in cell order, an HTTP cell on a thread or a chunk on
+    the pool, each while it holds one of budget slots.  An HTTP cell waits
+    for a free thread without holding back the chunks after it, and the
+    kind of cell that runs out first leaves every slot to the other.
     """
     threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
     processes, threads = _split_budget(threaded, budget, plan.parallelism is None)
+    if not threads:
+        pool, chunks = _run_forked(plan, cells, processes)
+        try:
+            yield from _forked_documents(plan, cells, pool,
+                                         (chunk.result() for chunk in chunks))
+        finally:
+            pool.shutdown(cancel_futures=True)
+        return
     if not processes:
         threaded = [True] * len(cells)
-    # The budget not held by fork workers.  The pool hands a worker's
-    # share over once fewer chunks remain than it has workers.
-    slots = threading.Semaphore(budget - processes)
-    stopped = threading.Event()
-    fork_pool = thread_pool = None
+    forked_at = [index for index, on_thread in enumerate(threaded) if not on_thread]
+    forked_cells = [cells[index] for index in forked_at]
+    ranges = _chunk_ranges(len(forked_cells), processes) if processes else []
+    chunk_at = {forked_at[start]: (start, stop) for start, stop in ranges}
+    units = [
+        _Unit(index, on_thread, cells[index] if on_thread else chunk_at[index],
+              Future())
+        for index, on_thread in enumerate(threaded)
+        if on_thread or index in chunk_at
+    ]
+    dispatcher = _Dispatcher(plan, units, budget, threads)
     try:
         if processes:
             # Fork first: the pool forks all its workers on its first
-            # submit, before the threads below start, so no worker inherits
-            # a lock that one of them held at the fork.
-            forked_cells = [cell for cell, t in zip(cells, threaded) if not t]
-            fork_pool, chunks = _run_forked(plan, forked_cells, processes)
-            remaining = itertools.count(len(chunks) - 1, -1)
-
-            def hand_over(_chunk) -> None:
-                if next(remaining) < processes:
-                    slots.release()
-
-            for chunk in chunks:
-                chunk.add_done_callback(hand_over)
-            forked = _forked_documents(plan, forked_cells, fork_pool, chunks)
-        if threads:
-            thread_pool = ThreadPoolExecutor(max_workers=threads,
-                                             thread_name_prefix="eqgym-cell")
-            futures = iter([
-                thread_pool.submit(_run_in_slot, slots, stopped, plan, cell)
-                for cell, t in zip(cells, threaded) if t
-            ])
+            # submit, before any thread of this run starts, so no worker
+            # inherits a lock that one of them held at the fork.
+            dispatcher.fork_pool = _fork_pool(plan, forked_cells, processes)
+            dispatcher.start_first_chunk()
+            forked = _forked_documents(
+                plan, forked_cells, dispatcher.fork_pool,
+                (dispatcher.result(unit) for unit in units if not unit.on_thread),
+            )
+        dispatcher.start()
+        http = (dispatcher.result(unit) for unit in units if unit.on_thread)
         for on_thread in threaded:
-            yield next(futures).result() if on_thread else next(forked)
+            yield next(http) if on_thread else next(forked)
     finally:
-        # Cancel what has not started in either pool before waiting on
-        # either, so an interrupted run stops soon; threads still waiting
-        # for a slot wake up and return without running their cell.
-        stopped.set()
-        if thread_pool is not None:
-            thread_pool.shutdown(wait=False, cancel_futures=True)
-            slots.release(threads)
-        if fork_pool is not None:
-            fork_pool.shutdown(cancel_futures=True)
-        if thread_pool is not None:
-            thread_pool.shutdown()
+        dispatcher.close()
 
 
-def _run_in_slot(slots: threading.Semaphore, stopped: threading.Event,
-                 plan: RunPlan, cell) -> dict | None:
-    with slots:
-        if not stopped.is_set():
-            return _run_cell(plan, *cell)
-    return None
+class _Unit(NamedTuple):
+    """An HTTP cell, or a chunk of forked cells as an index range into
+    them; index is its first cell's place in the plan.  The caller reads
+    its result from future."""
+
+    index: int
+    on_thread: bool
+    args: tuple
+    future: Future
+
+
+class _Dispatcher:
+    """Starts units in order on its own thread, each once it holds one of
+    a budget's slots and, for an HTTP cell, one of the threads.  A unit
+    gives them back when its future is done.  Owns both pools.
+
+    The slot of the unit the caller waits for is handed on only when the
+    caller asks for its next unit, so a caller that stops reading after a
+    document starts no unit on that unit's slot.
+    """
+
+    def __init__(self, plan: RunPlan, units: list[_Unit], slots: int,
+                 threads: int):
+        self.plan = plan
+        self.thread_pool = ThreadPoolExecutor(max_workers=threads,
+                                              thread_name_prefix="eqgym-cell")
+        self.fork_pool: ProcessPoolExecutor | None = None
+        self._http = deque(unit for unit in units if unit.on_thread)
+        self._chunks = deque(unit for unit in units if not unit.on_thread)
+        self._slots = slots
+        self._threads = threads
+        self._awaited: Future | None = None
+        self._stopped = False
+        self._changed = threading.Condition()
+        self._thread = threading.Thread(target=self._run, name="eqgym-dispatch",
+                                        daemon=True)
+
+    def start_first_chunk(self) -> None:
+        with self._changed:
+            self._slots -= 1
+            unit = self._chunks.popleft()
+        self._start(unit)
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def result(self, unit: _Unit) -> dict | list[dict]:
+        with self._changed:
+            self._awaited = unit.future
+            self._changed.notify()
+        return unit.future.result()
+
+    def close(self) -> None:
+        # Stop dispatching, then cancel what has not started in either
+        # pool before waiting on either, so an interrupted run stops soon.
+        with self._changed:
+            self._stopped = True
+            self._changed.notify()
+        if self._thread.is_alive():
+            self._thread.join()
+        self.thread_pool.shutdown(wait=False, cancel_futures=True)
+        if self.fork_pool is not None:
+            self.fork_pool.shutdown(cancel_futures=True)
+        self.thread_pool.shutdown()
+
+    def _run(self) -> None:
+        while (unit := self._next()) is not None:
+            self._start(unit)
+
+    def _next(self) -> _Unit | None:
+        """Wait for the next unit that can start and take its slot (and
+        thread); None once stopped or when every unit has started."""
+        with self._changed:
+            while True:
+                if self._stopped or not (self._http or self._chunks):
+                    return None
+                http = bool(self._http) and self._threads > 0
+                if self._slots and (http or self._chunks):
+                    break
+                self._changed.wait()
+            self._slots -= 1
+            if http and not (self._chunks
+                             and self._chunks[0].index < self._http[0].index):
+                self._threads -= 1
+                return self._http.popleft()
+            return self._chunks.popleft()
+
+    def _start(self, unit: _Unit) -> None:
+        unit.future.add_done_callback(partial(self._release, unit.on_thread))
+        try:
+            if unit.on_thread:
+                source = self.thread_pool.submit(_run_cell, self.plan, *unit.args)
+            else:
+                source = self.fork_pool.submit(_run_indexed_cells, *unit.args)
+        except RuntimeError as err:  # a broken or shut-down pool
+            unit.future.set_exception(err)
+        else:
+            source.add_done_callback(partial(_relay, unit.future))
+
+    def _release(self, on_thread: bool, future: Future) -> None:
+        with self._changed:
+            self._slots += 1
+            self._threads += on_thread
+            if future is not self._awaited:
+                self._changed.notify()
+
+
+def _relay(target: Future, source: Future) -> None:
+    """Pass a pool's future's outcome to the future the caller reads."""
+    if source.cancelled():
+        target.cancel()
+    elif source.exception() is not None:
+        target.set_exception(source.exception())
+    else:
+        target.set_result(source.result())
 
 
 # The plan and its cells inside a forked pool worker, set once by the
@@ -367,28 +471,35 @@ def _run_indexed_cells(start: int, stop: int) -> list[dict]:
     return [_run_cell(plan, *cells[index]) for index in range(start, stop)]
 
 
-def _run_forked(plan: RunPlan, cells: list,
-                workers: int) -> tuple[ProcessPoolExecutor, list[Future]]:
-    """Start the pool, submit every cell now, and return the pool with the
-    futures of its chunks, in cell order.  The caller shuts the pool down."""
+def _fork_pool(plan: RunPlan, cells: list, workers: int) -> ProcessPoolExecutor:
     # Fork, named explicitly: spawn and forkserver (the Linux default from
     # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
     # environments and transports are never pickled; only index ranges go
-    # out and lists of transcript dicts come back.  Chunks amortise the
-    # per-task round trip, which costs a fifth of a short cell.
-    pool = ProcessPoolExecutor(
+    # out and lists of transcript dicts come back.
+    return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt_cells,
         initargs=(plan, cells),
     )
-    size = max(1, len(cells) // (8 * workers))
+
+
+def _chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
+    # Chunks amortise the per-task round trip, which costs a fifth of a
+    # short cell.
+    size = max(1, count // (8 * workers))
+    return [(start, min(start + size, count)) for start in range(0, count, size)]
+
+
+def _run_forked(plan: RunPlan, cells: list,
+                workers: int) -> tuple[ProcessPoolExecutor, list[Future]]:
+    """Start the pool, submit every cell now, and return the pool with the
+    futures of its chunks, in cell order.  The caller shuts the pool down."""
+    pool = _fork_pool(plan, cells, workers)
     try:
-        chunks = [
-            pool.submit(_run_indexed_cells, start, min(start + size, len(cells)))
-            for start in range(0, len(cells), size)
-        ]
+        chunks = [pool.submit(_run_indexed_cells, start, stop)
+                  for start, stop in _chunk_ranges(len(cells), workers)]
     except BaseException:
         pool.shutdown(cancel_futures=True)
         raise
@@ -396,11 +507,12 @@ def _run_forked(plan: RunPlan, cells: list,
 
 
 def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
-                      chunks: list[Future]) -> Iterator[dict]:
+                      chunks: Iterator[list[dict]]) -> Iterator[dict]:
+    """Yield the documents of each chunk's results, in order."""
     done = 0
     try:
         for chunk in chunks:
-            for document in chunk.result():
+            for document in chunk:
                 yield document
                 done += 1
     except BrokenProcessPool:
@@ -658,11 +770,11 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
-                       help="worker budget (default: usable CPU count); on Linux "
-                            "non-HTTP cells run on forked worker processes, which "
-                            "get the budget less the HTTP cells' share, and HTTP "
-                            "cells on threads, which use the budget the busy "
-                            "workers leave free; the default caps the threads at "
+                       help="worker budget: how many cells run at once "
+                            "(default: usable CPU count); on Linux non-HTTP cells "
+                            "run on forked worker processes and HTTP cells on "
+                            "threads, started in cell order as the budget frees "
+                            "up; the default caps the threads at "
                             f"{HTTP_PARALLEL_CAP}")
     run_p.add_argument("--out", required=True, help="output directory")
     run_p.add_argument("--model", default=None, help="model name for http agents")

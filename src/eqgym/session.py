@@ -191,6 +191,9 @@ class Session:
         self._to_true = dict(self.header.name_map)
         self._to_display = {true: disp for disp, true in self._to_true.items()}
         self._output_display = next(iter(self.header.observable_variable))
+        # A validity error's subject (the constraint's text) -> its reason in
+        # display names, rendered on the constraint's first violation.
+        self._validity_reasons: dict[str, str] = {}
 
     # -- agent-facing view ---------------------------------------------------
 
@@ -339,11 +342,14 @@ class Session:
                 "outside its admissible range"
             )
         if err.reason == "validity":
-            for constraint in self.env.validity:
-                if constraint.rendered() == err.subject:
-                    shown = constraint.rendered(self._to_display)
-                    return f"validity: constraint {shown} violated"
-            return "validity: constraint violated"
+            if err.subject not in self._validity_reasons:
+                shown = [c.rendered(self._to_display) for c in self.env.validity
+                         if c.text == err.subject]
+                self._validity_reasons[err.subject] = (
+                    f"validity: constraint {shown[0]} violated" if shown
+                    else "validity: constraint violated"
+                )
+            return self._validity_reasons[err.subject]
         if err.detail:
             return f"{err.reason}: {err.detail}"
         return err.reason

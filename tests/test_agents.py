@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import signal
 import socket
 import sys
 import textwrap
@@ -487,6 +488,49 @@ def test_subprocess_that_stops_reading_is_killed_at_the_deadline(tmp_path, monke
     finally:
         agent.close()
     assert time.monotonic() - started < 10
+
+
+@pytest.mark.parametrize("handler, exit_code", [
+    ("signal.SIG_DFL", -signal.SIGTERM),
+    ("signal.SIG_IGN", -signal.SIGKILL),
+], ids=["honours-sigterm", "ignores-sigterm"])
+def test_close_stops_a_child_that_outlives_its_input(tmp_path, monkeypatch,
+                                                     handler, exit_code):
+    path = tmp_path / "stubborn.py"
+    path.write_text(textwrap.dedent(f"""\
+        import signal, time
+        signal.signal(signal.SIGTERM, {handler})
+        print("ready", flush=True)
+        time.sleep(600)
+        """), encoding="utf-8")
+    monkeypatch.setattr(agents, "_CLOSE_GRACE_S", 0.2)
+    agent = SubprocessAgent(f"{sys.executable} {path}")
+    assert agent.process.stdout.readline() == "ready\n"
+    started = time.monotonic()
+    agent.close()
+    took = time.monotonic() - started
+    # Reaped, with both pipes closed, after one grace period per signal.
+    assert agent.process.returncode == exit_code
+    assert agent.process.stdin.closed and agent.process.stdout.closed
+    signals = 1 if exit_code == -signal.SIGTERM else 2
+    assert 0.2 * signals <= took < 5
+    assert not agent._watchdog.is_alive()
+
+
+def test_close_reaps_a_child_that_exits_on_end_of_input(tmp_path, monkeypatch):
+    path = tmp_path / "polite.py"
+    path.write_text("import sys\nsys.stdin.read()\n", encoding="utf-8")
+    agent = SubprocessAgent(f"{sys.executable} {path}")
+    sleeps = []
+    sleep = time.sleep
+    monkeypatch.setattr(time, "sleep", lambda seconds: (sleeps.append(seconds),
+                                                        sleep(seconds)))
+    agent.close()
+    monkeypatch.undo()
+    assert agent.process.returncode == 0
+    assert not agent._watchdog.is_alive()
+    # Blocked until the child exited instead of polling for it.
+    assert sleeps == []
 
 
 # --------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import eqgym
+from eqgym import harness
 from eqgym.agents import HttpAgentFactory, PowerLawAgentFactory, RandomAgentFactory
 from eqgym.environment import bundled_environments, load_spec, spec_to_dict
 from eqgym.harness import (
@@ -128,19 +129,21 @@ def test_default_parallelism_honours_cpu_affinity(monkeypatch):
     # Only HTTP cells: threads, capped when the budget counts CPUs.
     (0, 32, 32, True, (0, HTTP_PARALLEL_CAP)),
     (0, 16, 16, False, (0, 16)),
-    # Mixed: the pool gets the budget less the HTTP cells' share, at least
-    # one worker each; there are as many threads as without the pool.
-    (20, 20, 2, False, (1, 2)),
-    (20, 20, 32, False, (16, 32)),
-    (30, 10, 4, False, (3, 4)),
-    (36, 4, 2, False, (1, 2)),
-    (4, 36, 4, False, (1, 4)),
-    # The cap bounds the threads, and the pool gets the rest of the
-    # budget, but no more processes than forked cells.
-    (200, 200, 32, True, (24, HTTP_PARALLEL_CAP)),
+    # Mixed: the pool and the threads each get the whole budget, which
+    # _run_cells keeps them within together.
+    (20, 20, 2, False, (2, 2)),
+    (20, 20, 32, False, (20, 32)),
+    (30, 10, 4, False, (4, 4)),
+    (36, 4, 2, False, (2, 2)),
+    (4, 36, 4, False, (4, 4)),
+    # The cap bounds the threads, and the pool gets the budget, but no
+    # more processes than forked cells.
+    (200, 200, 32, True, (32, HTTP_PARALLEL_CAP)),
     (10, 90, 32, True, (10, HTTP_PARALLEL_CAP)),
     # One worker runs every cell on one thread.
     (1, 1, 1, False, (0, 1)),
+    # No more processes than forked cells.
+    (1, 36, 4, False, (1, 4)),
 ])
 def test_fork_pool_and_threads_share_one_budget(forked, http, budget, capped, split):
     threaded = [False] * forked + [True] * http
@@ -530,14 +533,14 @@ def test_closing_the_cell_stream_stops_threads_waiting_for_a_slot(tmp_path):
                       [http, slow], test_quota=2, parallelism=2)
     cells = list(_cells(plan))
     assert len(cells) == 80
-    # One process and one slot for two threads: cell 0 runs, and the
-    # second thread waits with cell 2 until the slot is free.
+    # Two slots: the first chunk of forked cells holds one and cell 0 the
+    # other.
     stream = _run_cells(plan, cells, 2)
     assert next(stream)["agent"] == "http"
     stream.close()
-    # Cell 2 took over the slot.  The thread that picked up cell 4 waits
-    # for a slot that the busy pool never frees; closing the stream wakes
-    # it without running the cell.
+    # Cell 2 took the chunk's slot when the chunk ended.  Cell 0's slot
+    # is handed on only when the caller asks for the next document, so
+    # closing the stream instead starts no other cell.
     assert len(transport.threads) <= 2 * 3
 
 
@@ -581,17 +584,86 @@ def test_mixed_plan_forks_before_any_thread_and_keeps_the_budget(tmp_path):
     finally:
         armed[0] = False
     assert len(record.transcripts) == 12 and record.errors == []
-    # One worker process, forked while no thread of this run, not even the
-    # pool's own, existed.
-    assert len(forks) == 1
+    # One fork per worker (the budget of 2), each while no thread of this
+    # run, not even the pool's own, existed.
+    assert len(forks) == 2
     for count, names in forks:
         assert count == threads_before
         assert not [name for name in names if name.startswith("eqgym-cell")]
     assert all(name.startswith("eqgym-cell") for name in transport.threads)
     # Never more than 2 turns at once on both pools together; once the
-    # pool is done, its share of the budget goes to a second thread.
+    # forked cells are done, the HTTP cells take the whole budget.
     assert most_at_once(slow.turns() + transport.calls) == 2
     assert most_at_once(transport.calls) == 2
+
+
+@linux_only
+def test_mixed_plan_hands_the_threads_budget_to_the_pool(tmp_path):
+    # The mirror of the test above: twice as many forked cells as HTTP
+    # cells, and they take far longer.
+    turns = tmp_path / "turns"
+    slow = [SlowPowerLaw(turns, delay=0.01, name=name) for name in ("slow_a", "slow_b")]
+    transport = ChatTransport()
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    record = execute(mixed_plan([http, *slow], parallelism=2),
+                     out_dir=tmp_path / "run")
+    assert len(record.transcripts) == 18 and record.errors == []
+    forked = slow[0].turns()
+    assert most_at_once(forked + transport.calls) == 2
+    # Once the last HTTP cell is done, two forked cells run at once.
+    http_done = max(end for _, end in transport.calls)
+    assert most_at_once([turn for turn in forked if turn[0] > http_done]) == 2
+
+
+@linux_only
+def test_http_cells_waiting_for_a_thread_leave_the_budget_to_the_pool(
+        tmp_path, monkeypatch):
+    # The default budget of 3 CPUs, with one thread for HTTP cells.
+    monkeypatch.setattr(harness, "HTTP_PARALLEL_CAP", 1)
+    monkeypatch.setattr(harness, "_default_parallelism", lambda: 3)
+    slow = SlowPowerLaw(tmp_path / "turns", delay=0.005)
+    transport = ChatTransport(delay=0.02)
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    record = execute(mixed_plan([http, slow], parallelism=None),
+                     out_dir=tmp_path / "run")
+    assert len(record.transcripts) == 12 and record.errors == []
+    forked = slow.turns()
+    assert most_at_once(transport.calls) == 1
+    assert most_at_once(forked + transport.calls) <= 3
+    # While an HTTP cell runs and the next one waits for the thread, the
+    # forked cells after it run on the other two slots.
+    assert most_at_once(forked) >= 2
+    assert any(
+        most_at_once([(max(start, turn[0]), min(end, turn[1])) for turn in forked
+                      if start < turn[1] and turn[0] < end]) >= 2
+        for start, end in transport.calls
+    )
+
+
+@linux_only
+def test_mixed_plan_keeps_its_budget_under_thread_switching(tmp_path):
+    # More slots than CPUs, short cells and a switch after every few
+    # bytecodes: a lost update to the slot or thread counts either runs
+    # more cells at once than the budget or never frees a slot again.
+    slow = SlowPowerLaw(tmp_path / "turns", delay=0.001)
+    transport = ChatTransport()
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = build_plan(bundled_environments(), ["L1", "L2", "L3", "L4"],
+                      [slow, http], test_quota=2, parallelism=4)
+    records = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=lambda: records.append(execute(plan)),
+                                  daemon=True)
+        runner.start()
+        runner.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive()
+    (record,) = records
+    assert len(record.transcripts) == 80 and record.errors == []
+    assert most_at_once(slow.turns() + transport.calls) <= 4
 
 
 @linux_only

@@ -7,7 +7,13 @@ import pytest
 
 from eqgym import expr
 from eqgym.agents import agent_from_spec
-from eqgym.environment import LEVELS, bundled_environments
+from eqgym.environment import (
+    LEVELS,
+    Constraint,
+    bundled_environments,
+    load_spec,
+    spec_to_dict,
+)
 from eqgym.expr import EQUIV_POINTS
 from eqgym.harness import run_session
 from eqgym.session import (
@@ -141,6 +147,29 @@ def test_each_hypothesis_is_walked_for_its_variables_once(monkeypatch):
             hypotheses += transcript["hypotheses"]
     assert sum(h["tested"] for h in hypotheses) >= 20
     assert len(walks) == len(hypotheses) == sum(h["parsed"] for h in hypotheses)
+
+
+def test_each_validity_constraint_is_rendered_once(monkeypatch):
+    # A violation used to render its constraint twice for the error, once
+    # per constraint to find it again, and once more in display names.
+    env = load_spec(spec_to_dict(env_by_id("env_409")))  # nothing rendered yet
+    calls = []
+    original = Constraint.rendered
+
+    def counting(self, naming=None):
+        calls.append(naming)
+        return original(self, naming)
+
+    monkeypatch.setattr(Constraint, "rendered", counting)
+    transcript = run_session(env, "L4", agent_from_spec("scripted:random"),
+                             experiments_quota=1600, seed=11)
+    monkeypatch.undo()
+    invalid = [e["invalid"] for e in transcript["experiments"] if "invalid" in e]
+    assert len(invalid) >= 400
+    assert set(invalid) == {"validity: constraint var_4 < var_3 violated"}
+    # Once in true names, for the error, and once in display names.
+    assert len(calls) == 2 and calls[0] is None and calls[1]
+    assert [c.text for c in env.validity] == ["r < a"]
 
 
 def test_malformed_proposals_cost_nothing():
