@@ -8,7 +8,9 @@ a killed run leaves a readable prefix.
 Scripted and subprocess cells are CPU-bound Python, so on Linux they run
 on a fork-started process pool; HTTP cells wait on I/O and run on threads
 in the caller's process, where a custom transport's state stays visible.
-A mixed plan runs both at once, and they share one worker budget.
+A mixed plan runs both at once, and they share one worker budget; the
+thread that reads the documents starts the cells, in cell order, while it
+waits for the next one.  The harness starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -20,15 +22,19 @@ import multiprocessing
 import os
 import signal
 import sys
-import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    Future,
+    ProcessPoolExecutor,
+    ThreadPoolExecutor,
+    wait,
+)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .agents import HttpAgentFactory, agent_from_spec
 from .environment import (
@@ -288,20 +294,29 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     """Yield every cell's document, in cell order.
 
     On Linux with a budget above one, the non-HTTP cells run in chunks on
-    a fork-started process pool (see _split_budget), and a plan of only
-    such cells submits every chunk at once.  HTTP cells run on threads in
-    the caller, where a custom transport's state stays visible, and so does
-    every cell when there is no pool.  Beside the threads, one dispatcher
-    starts the units in cell order, an HTTP cell on a thread or a chunk on
-    the pool, each while it holds one of budget slots.  An HTTP cell waits
-    for a free thread without holding back the chunks after it, and the
-    kind of cell that runs out first leaves every slot to the other.
+    a fork-started process pool (see _split_budget).  HTTP cells run on
+    threads in the caller, where a custom transport's state stays visible,
+    and so does every cell when there is no pool.
+
+    A plan of only forked cells submits every chunk at once: through the
+    slot schedule below, a worker would wait while the caller encodes a
+    chunk's documents, which on 2 CPUs cost the long_random and
+    grid_power_law benches 8% of their cells per second.  Otherwise the
+    caller schedules while it waits for its next document.  It starts
+    units (an HTTP cell, or a chunk) in cell order, each while it holds
+    one of budget slots and, for an HTTP cell, one of the threads.  An
+    HTTP cell waiting for a thread does not hold back the chunks after it,
+    and the kind of cell that runs out first leaves every slot to the
+    other.  Nothing starts while the caller is away, so a caller that
+    stops reading starts no more units.
     """
     threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
     processes, threads = _split_budget(threaded, budget, plan.parallelism is None)
     if not threads:
-        pool, chunks = _run_forked(plan, cells, processes)
+        pool = _fork_pool(plan, cells, processes)
         try:
+            chunks = [pool.submit(_run_indexed_cells, start, stop)
+                      for start, stop in _chunk_ranges(len(cells), processes)]
             yield from _forked_documents(plan, cells, pool,
                                          (chunk.result() for chunk in chunks))
         finally:
@@ -312,148 +327,64 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     forked_at = [index for index, on_thread in enumerate(threaded) if not on_thread]
     forked_cells = [cells[index] for index in forked_at]
     ranges = _chunk_ranges(len(forked_cells), processes) if processes else []
+    # The units not started yet, each named by its first cell's index.
+    http = deque(index for index, on_thread in enumerate(threaded) if on_thread)
+    chunks = deque(forked_at[start] for start, _ in ranges)
     chunk_at = {forked_at[start]: (start, stop) for start, stop in ranges}
-    units = [
-        _Unit(index, on_thread, cells[index] if on_thread else chunk_at[index],
-              Future())
-        for index, on_thread in enumerate(threaded)
-        if on_thread or index in chunk_at
-    ]
-    dispatcher = _Dispatcher(plan, units, budget, threads)
+    started: dict[int, Future] = {}
+    running: dict[Future, bool] = {}  # holding a slot; True on a thread
+    slots, free_threads = budget, threads
+    thread_pool = ThreadPoolExecutor(max_workers=threads,
+                                     thread_name_prefix="eqgym-cell")
+    fork_pool = None
+
+    def start(on_thread: bool) -> None:
+        nonlocal slots, free_threads
+        index = (http if on_thread else chunks).popleft()
+        try:
+            if on_thread:
+                future = thread_pool.submit(_run_cell, plan, *cells[index])
+            else:
+                future = fork_pool.submit(_run_indexed_cells, *chunk_at[index])
+        except RuntimeError as err:  # a broken or shut-down pool
+            future = Future()
+            future.set_exception(err)
+        slots -= 1
+        free_threads -= on_thread
+        started[index] = future
+        running[future] = on_thread
+
+    def result(index: int) -> dict | list[dict]:
+        nonlocal slots, free_threads
+        while True:
+            for future in [future for future in running if future.done()]:
+                slots += 1
+                free_threads += running.pop(future)
+            if index in started and started[index].done():
+                return started.pop(index).result()
+            while slots and (chunks or (http and free_threads)):
+                start(bool(http) and free_threads > 0
+                      and not (chunks and chunks[0] < http[0]))
+            wait(running, return_when=FIRST_COMPLETED)
+
     try:
         if processes:
             # Fork first: the pool forks all its workers on its first
             # submit, before any thread of this run starts, so no worker
             # inherits a lock that one of them held at the fork.
-            dispatcher.fork_pool = _fork_pool(plan, forked_cells, processes)
-            dispatcher.start_first_chunk()
-            forked = _forked_documents(
-                plan, forked_cells, dispatcher.fork_pool,
-                (dispatcher.result(unit) for unit in units if not unit.on_thread),
-            )
-        dispatcher.start()
-        http = (dispatcher.result(unit) for unit in units if unit.on_thread)
-        for on_thread in threaded:
-            yield next(http) if on_thread else next(forked)
+            fork_pool = _fork_pool(plan, forked_cells, processes)
+            forked = _forked_documents(plan, forked_cells, fork_pool,
+                                       map(result, list(chunks)))
+            start(on_thread=False)
+        for index, on_thread in enumerate(threaded):
+            yield result(index) if on_thread else next(forked)
     finally:
-        dispatcher.close()
-
-
-class _Unit(NamedTuple):
-    """An HTTP cell, or a chunk of forked cells as an index range into
-    them; index is its first cell's place in the plan.  The caller reads
-    its result from future."""
-
-    index: int
-    on_thread: bool
-    args: tuple
-    future: Future
-
-
-class _Dispatcher:
-    """Starts units in order on its own thread, each once it holds one of
-    a budget's slots and, for an HTTP cell, one of the threads.  A unit
-    gives them back when its future is done.  Owns both pools.
-
-    The slot of the unit the caller waits for is handed on only when the
-    caller asks for its next unit, so a caller that stops reading after a
-    document starts no unit on that unit's slot.
-    """
-
-    def __init__(self, plan: RunPlan, units: list[_Unit], slots: int,
-                 threads: int):
-        self.plan = plan
-        self.thread_pool = ThreadPoolExecutor(max_workers=threads,
-                                              thread_name_prefix="eqgym-cell")
-        self.fork_pool: ProcessPoolExecutor | None = None
-        self._http = deque(unit for unit in units if unit.on_thread)
-        self._chunks = deque(unit for unit in units if not unit.on_thread)
-        self._slots = slots
-        self._threads = threads
-        self._awaited: Future | None = None
-        self._stopped = False
-        self._changed = threading.Condition()
-        self._thread = threading.Thread(target=self._run, name="eqgym-dispatch",
-                                        daemon=True)
-
-    def start_first_chunk(self) -> None:
-        with self._changed:
-            self._slots -= 1
-            unit = self._chunks.popleft()
-        self._start(unit)
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def result(self, unit: _Unit) -> dict | list[dict]:
-        with self._changed:
-            self._awaited = unit.future
-            self._changed.notify()
-        return unit.future.result()
-
-    def close(self) -> None:
-        # Stop dispatching, then cancel what has not started in either
-        # pool before waiting on either, so an interrupted run stops soon.
-        with self._changed:
-            self._stopped = True
-            self._changed.notify()
-        if self._thread.is_alive():
-            self._thread.join()
-        self.thread_pool.shutdown(wait=False, cancel_futures=True)
-        if self.fork_pool is not None:
-            self.fork_pool.shutdown(cancel_futures=True)
-        self.thread_pool.shutdown()
-
-    def _run(self) -> None:
-        while (unit := self._next()) is not None:
-            self._start(unit)
-
-    def _next(self) -> _Unit | None:
-        """Wait for the next unit that can start and take its slot (and
-        thread); None once stopped or when every unit has started."""
-        with self._changed:
-            while True:
-                if self._stopped or not (self._http or self._chunks):
-                    return None
-                http = bool(self._http) and self._threads > 0
-                if self._slots and (http or self._chunks):
-                    break
-                self._changed.wait()
-            self._slots -= 1
-            if http and not (self._chunks
-                             and self._chunks[0].index < self._http[0].index):
-                self._threads -= 1
-                return self._http.popleft()
-            return self._chunks.popleft()
-
-    def _start(self, unit: _Unit) -> None:
-        unit.future.add_done_callback(partial(self._release, unit.on_thread))
-        try:
-            if unit.on_thread:
-                source = self.thread_pool.submit(_run_cell, self.plan, *unit.args)
-            else:
-                source = self.fork_pool.submit(_run_indexed_cells, *unit.args)
-        except RuntimeError as err:  # a broken or shut-down pool
-            unit.future.set_exception(err)
-        else:
-            source.add_done_callback(partial(_relay, unit.future))
-
-    def _release(self, on_thread: bool, future: Future) -> None:
-        with self._changed:
-            self._slots += 1
-            self._threads += on_thread
-            if future is not self._awaited:
-                self._changed.notify()
-
-
-def _relay(target: Future, source: Future) -> None:
-    """Pass a pool's future's outcome to the future the caller reads."""
-    if source.cancelled():
-        target.cancel()
-    elif source.exception() is not None:
-        target.set_exception(source.exception())
-    else:
-        target.set_result(source.result())
+        # Cancel what has not started in either pool before waiting on
+        # either, so an interrupted run stops soon.
+        thread_pool.shutdown(wait=False, cancel_futures=True)
+        if fork_pool is not None:
+            fork_pool.shutdown(cancel_futures=True)
+        thread_pool.shutdown()
 
 
 # The plan and its cells inside a forked pool worker, set once by the
@@ -490,20 +421,6 @@ def _chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
     # short cell.
     size = max(1, count // (8 * workers))
     return [(start, min(start + size, count)) for start in range(0, count, size)]
-
-
-def _run_forked(plan: RunPlan, cells: list,
-                workers: int) -> tuple[ProcessPoolExecutor, list[Future]]:
-    """Start the pool, submit every cell now, and return the pool with the
-    futures of its chunks, in cell order.  The caller shuts the pool down."""
-    pool = _fork_pool(plan, cells, workers)
-    try:
-        chunks = [pool.submit(_run_indexed_cells, start, stop)
-                  for start, stop in _chunk_ranges(len(cells), workers)]
-    except BaseException:
-        pool.shutdown(cancel_futures=True)
-        raise
-    return pool, chunks
 
 
 def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
@@ -627,10 +544,17 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
         raise EmptyRun(f"no run log at {log}")
     transcripts: list[dict] = []
     environments: list[EnvironmentSpec] = []
-    for line in log.read_text(encoding="utf-8").splitlines():
+    lines = log.read_text(encoding="utf-8").split("\n")
+    for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
-        document = json.loads(line)
+        try:
+            document = json.loads(line)
+        except json.JSONDecodeError:
+            # A run killed mid-write leaves a last line with no newline.
+            if number == len(lines):
+                break
+            raise
         kind = document.get("kind")
         if kind == "transcript":
             transcripts.append(document)

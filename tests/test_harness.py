@@ -6,6 +6,8 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import _ExecutorManagerThread
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -538,10 +540,33 @@ def test_closing_the_cell_stream_stops_threads_waiting_for_a_slot(tmp_path):
     stream = _run_cells(plan, cells, 2)
     assert next(stream)["agent"] == "http"
     stream.close()
-    # Cell 2 took the chunk's slot when the chunk ended.  Cell 0's slot
-    # is handed on only when the caller asks for the next document, so
-    # closing the stream instead starts no other cell.
+    # While the caller waited for cell 0, cell 2 took the chunk's slot
+    # when the chunk ended.  The caller starts units only while it waits
+    # for a document, so closing the stream after cell 0 starts no other.
     assert len(transport.threads) <= 2 * 3
+
+
+def test_closing_the_cell_stream_starts_nothing_on_the_read_cells_slot(
+        monkeypatch):
+    # The pools' cancel on close would hide a cell started late, so count
+    # the submits.  Cell 0 ends long before cell 1.
+    submits = []
+    submit = ThreadPoolExecutor.submit
+
+    def recording(self, *args, **kwargs):
+        submits.append(args)
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", recording)
+    fast = HttpAgentFactory("inproc://fast", transport=ChatTransport(), name="fast")
+    slow = HttpAgentFactory("inproc://slow", transport=ChatTransport(delay=0.1),
+                            name="slow")
+    plan = build_plan([ENVS["hooke"], ENVS["env_716"]], ["L1"], [fast, slow],
+                      test_quota=2, parallelism=2)
+    stream = _run_cells(plan, list(_cells(plan)), 2)
+    assert next(stream)["agent"] == "fast"
+    stream.close()
+    assert len(submits) == 2
 
 
 @linux_only
@@ -643,8 +668,9 @@ def test_http_cells_waiting_for_a_thread_leave_the_budget_to_the_pool(
 @linux_only
 def test_mixed_plan_keeps_its_budget_under_thread_switching(tmp_path):
     # More slots than CPUs, short cells and a switch after every few
-    # bytecodes: a lost update to the slot or thread counts either runs
-    # more cells at once than the budget or never frees a slot again.
+    # bytecodes, while pool threads finish the futures the caller waits
+    # on: a unit end the caller misses or counts twice either runs more
+    # cells at once than the budget or never frees a slot again.
     slow = SlowPowerLaw(tmp_path / "turns", delay=0.001)
     transport = ChatTransport()
     http = HttpAgentFactory("inproc://test", transport=transport)
@@ -664,6 +690,42 @@ def test_mixed_plan_keeps_its_budget_under_thread_switching(tmp_path):
     (record,) = records
     assert len(record.transcripts) == 80 and record.errors == []
     assert most_at_once(slow.turns() + transport.calls) <= 4
+
+
+@linux_only
+def test_mixed_plan_hands_out_every_unit_from_the_callers_thread(tmp_path,
+                                                                 monkeypatch):
+    submits, started = [], []
+
+    def recording(submit):
+        def wrapper(self, *args, **kwargs):
+            submits.append((type(self), threading.current_thread()))
+            return submit(self, *args, **kwargs)
+        return wrapper
+
+    for pool in (ThreadPoolExecutor, ProcessPoolExecutor):
+        monkeypatch.setattr(pool, "submit", recording(pool.submit))
+    start = threading.Thread.start
+
+    def recording_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
+    slow = SlowPowerLaw(tmp_path / "turns", delay=0.002)
+    http = HttpAgentFactory("inproc://test", transport=ChatTransport(delay=0.005))
+    record = execute(mixed_plan([slow, http], parallelism=2))
+    assert len(record.transcripts) == 12 and record.errors == []
+    # Six HTTP cells and at least one chunk, all submitted by the caller.
+    assert sum(pool is ThreadPoolExecutor for pool, _ in submits) == 6
+    assert sum(pool is ProcessPoolExecutor for pool, _ in submits) >= 1
+    assert {thread for _, thread in submits} == {threading.current_thread()}
+    # The only threads are the cell threads and the process pool's own.
+    assert started
+    for thread in started:
+        assert (thread.name.startswith("eqgym-cell")
+                or isinstance(thread, _ExecutorManagerThread)
+                or thread.name == "QueueFeederThread"), thread.name
 
 
 @linux_only
@@ -714,6 +776,20 @@ def test_load_run_prefix_of_killed_run_is_readable(tmp_path):
     log.write_text("\n".join(lines[:-2]) + "\n")
     transcripts, _ = load_run(tmp_path / "run")
     assert len(transcripts) == 4
+    # killed in the middle of a line: the torn last line is skipped
+    log.write_text("\n".join(lines) + "\n")
+    log.write_bytes(log.read_bytes()[:-40])
+    transcripts, _ = load_run(tmp_path / "run")
+    assert len(transcripts) == 5
+
+
+def test_load_run_rejects_a_malformed_line_that_was_written_whole(tmp_path):
+    execute(small_plan(), out_dir=tmp_path / "run")
+    log = tmp_path / "run" / "run.jsonl"
+    lines = log.read_text().splitlines()
+    log.write_text("\n".join(lines[:-1] + [lines[-1][:-40]]) + "\n")
+    with pytest.raises(json.JSONDecodeError):
+        load_run(tmp_path / "run")
 
 
 def test_load_run_empty(tmp_path):
