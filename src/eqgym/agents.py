@@ -21,6 +21,7 @@ import urllib.request
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from random import Random
 
@@ -282,6 +283,10 @@ class PowerLawAgentFactory:
 # --------------------------------------------------------------------------
 # Packet wire text, shared by the subprocess and HTTP transports
 
+# Value types that the C encoder writes as the indenting one does.
+_FLAT = (str, int, float, bool, type(None))
+
+
 class PacketEncoder:
     """One session's packets as JSON text, each history entry encoded once.
 
@@ -291,13 +296,25 @@ class PacketEncoder:
     entry dicts (see ObservationPacket), so an entry is matched by
     identity with the one sent at its position last time and its text is
     reused; only new entries are encoded.  Any other entry, such as one
-    from `ObservationPacket.from_wire`, is encoded afresh.
+    from `ObservationPacket.from_wire`, is encoded afresh.  A flat object
+    (every history entry, and most header fields) is encoded by the C
+    encoder, with the indentation passed as its item separator.
+
+    A `quoted` encoder returns every text in `form`: escaped as the inside
+    of a JSON string literal, ready to be placed between quotes.
     """
 
-    def __init__(self, indent: int | None = None):
+    def __init__(self, indent: int | None = None, quoted: bool = False):
         self.indent = indent
+        self.quoted = quoted
         self._sent: list[dict] = []  # history entries encoded so far, in order
         self._texts: list[str] = []  # their text, indented for the history array
+
+    def form(self, text: str) -> str:
+        """`text` unchanged, or for a quoted encoder `json.dumps(text)[1:-1]`.
+        Escaping goes one character at a time, so the form of a
+        concatenation is the concatenation of its pieces' forms."""
+        return json.dumps(text)[1:-1] if self.quoted else text
 
     def encode(self, packet: ObservationPacket, error_notice: str | None = None) -> str:
         history = packet.historical_experiments
@@ -320,23 +337,28 @@ class PacketEncoder:
             members.append(("last_oracle_result", self._dumps(packet.last_oracle_result, 1)))
         if error_notice is not None:
             members.append(("error_notice", self._dumps(error_notice, 1)))
-        return self._join("{}", [f'"{key}": {text}' for key, text in members], 0)
+        items = [self.form(f'"{key}": ') + text for key, text in members]
+        return self._join("{}", items, 0)
 
     def _dumps(self, value, depth: int) -> str:
+        if self.indent is None:
+            return self.form(json.dumps(value))
         # JSON text holds no raw newline outside its indentation, so the
         # value's own lines can be shifted to its nesting depth.
-        text = json.dumps(value, indent=self.indent)
-        if self.indent is None:
-            return text
-        return text.replace("\n", "\n" + " " * (self.indent * depth))
+        outer = "\n" + " " * (self.indent * depth)
+        inner = outer + " " * self.indent
+        if type(value) is dict and value and all(type(v) in _FLAT for v in value.values()):
+            text = "{" + inner + json.dumps(value, separators=("," + inner, ": "))[1:-1]
+            return self.form(text + outer + "}")
+        return self.form(json.dumps(value, indent=self.indent).replace("\n", outer))
 
     def _join(self, brackets: str, items: list[str], depth: int) -> str:
         if not items:
             return brackets
         if self.indent is None:
             return brackets[0] + ", ".join(items) + brackets[1]
-        inner = "\n" + " " * (self.indent * (depth + 1))
-        outer = "\n" + " " * (self.indent * depth)
+        inner = self.form("\n" + " " * (self.indent * (depth + 1)))
+        outer = self.form("\n" + " " * (self.indent * depth))
         return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
 
 
@@ -496,19 +518,21 @@ PROMPT_PATH = Path(__file__).parent / "prompts" / "researcher.md"
 Transport = Callable[[str, Mapping[str, str], bytes], str]
 
 
+@cache
 def load_prompt() -> str:
+    """The researcher template, read once so that every cell sees the same."""
     return PROMPT_PATH.read_text(encoding="utf-8")
 
 
 def build_prompt(template: str, packet: ObservationPacket,
                  error_notice: str | None, encoder: PacketEncoder) -> str:
-    """The prompt for one HTTP exchange.  `encoder` is the agent's
-    `PacketEncoder(indent=2)`, which holds the session's encoded history."""
-    parts = [template, "\n# Current Input\n"]
-    parts.append("```json\n" + encoder.encode(packet) + "\n```\n")
-    if error_notice:
-        parts.append(f"\n# Notice\n\n{error_notice}\n")
-    return "\n".join(parts)
+    """The prompt for one HTTP exchange, in `encoder.form`.  `encoder` is the
+    agent's `PacketEncoder(indent=2, quoted=True)`: it holds the session's
+    encoded history, and escapes the prompt for the request's `content`."""
+    form = encoder.form
+    notice = f"\n\n# Notice\n\n{error_notice}\n" if error_notice else ""
+    prompt = form(template + "\n\n# Current Input\n\n```json\n") + encoder.encode(packet)
+    return prompt + form("\n```\n" + notice)
 
 
 _FENCE_OPEN = re.compile(r"```(?:json)?\s*\{")
@@ -555,7 +579,17 @@ class HttpAgent:
     def __init__(self, config: HttpAgentFactory, template: str):
         self.config = config
         self.template = template
-        self._encoder = PacketEncoder(indent=2)
+        self._encoder = PacketEncoder(indent=2, quoted=True)
+        # The request with an empty prompt, split where the escaped prompt
+        # goes: after it come only numbers, so the last "" is the content.
+        request = json.dumps({
+            "model": config.model,
+            "messages": [{"role": "user", "content": ""}],
+            "temperature": TEMPERATURE,
+            "max_tokens": MAX_TOKENS,
+        })
+        head, _, tail = request.rpartition('""')
+        self._head, self._tail = head + '"', '"' + tail
 
     def _headers(self) -> dict[str, str]:
         headers = {"Content-Type": "application/json"}
@@ -565,12 +599,7 @@ class HttpAgent:
         return headers
 
     def _complete(self, prompt: str) -> str:
-        body = json.dumps({
-            "model": self.config.model,
-            "messages": [{"role": "user", "content": prompt}],
-            "temperature": TEMPERATURE,
-            "max_tokens": MAX_TOKENS,
-        }).encode("utf-8")
+        body = (self._head + prompt + self._tail).encode("utf-8")
         reply = self.config.transport(self.config.endpoint, self._headers(), body)
         try:
             decoded = json.loads(reply)

@@ -53,8 +53,8 @@ class ObservationPacket:
     session's own history dicts, shared with every later packet and the
     transcript: in-process agents must treat them as read-only.
     `to_wire` copies them.  Remote agents' encoders (`agents.PacketEncoder`)
-    keep the JSON text of each entry they sent, matched by identity, so a
-    mutated entry would also leave the wire text stale.
+    keep the JSON text of each entry they sent (escaped for the request on
+    HTTP), matched by identity, so a mutated entry would leave it stale.
     """
 
     problem_description: str

@@ -1,6 +1,6 @@
 """Seeded expression generators, meaning-preserving rewrites, and the
 reference tree-walk evaluator, parser, domain sampler and experiment
-runner for tests."""
+runner for tests; also seeded flat JSON objects for the packet encoder."""
 
 from __future__ import annotations
 
@@ -519,3 +519,28 @@ def reference_run_experiment(env, assignment: Mapping[str, float]):
                 subject=constraint.rendered(),
             )
     return evaluate(env.equation, inputs_only)
+
+
+# -- flat JSON objects ---------------------------------------------------------
+# Values whose JSON text is easy to get wrong: non-finite and extreme
+# floats, ints past 64 bits, and text that needs escaping, including
+# control characters, non-ASCII text and lone surrogates.
+
+FLAT_SCALARS = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e300, -1e300, 5e-324,
+                0.1, 1.5e-7, 2**63, -(2**64) - 1, 10**40, 0, -1, True, False, None)
+TEXT_PIECES = ('"', "\\", "\x00", "\x1f", "\n", "\t", "\r", "\x7f", "/", "é", "円",
+               "\u2028", "\U0001d53c", "\ud800", "\udfff", "x", " ", "key")
+
+
+def random_text(rng: random.Random, pieces: int = 4) -> str:
+    return "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randrange(pieces + 1)))
+
+
+def random_flat_object(rng: random.Random, size: int = 5) -> dict:
+    """A non-empty dict of str/int/float/bool/None values."""
+    obj = {}
+    while not obj or rng.random() < 1 - 1 / size:
+        obj[random_text(rng)] = (
+            rng.choice(FLAT_SCALARS) if rng.random() < 0.6 else random_text(rng)
+        )
+    return obj

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import signal
 import socket
 import sys
@@ -11,6 +12,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+import gen
 import pytest
 from chat_stub import ChatStub
 
@@ -684,6 +686,21 @@ def test_build_prompt_includes_notice():
     assert "# Notice" in text and "try again" in text
 
 
+def test_http_agents_read_the_template_once_per_process(monkeypatch):
+    reads, read_text = [], Path.read_text
+
+    def counting(path, *args, **kwargs):
+        reads.append(path)
+        return read_text(path, *args, **kwargs)
+
+    agents.load_prompt.cache_clear()
+    monkeypatch.setattr(Path, "read_text", counting)
+    built = [factory.build(None) for factory in (http_factory(None), http_factory(None))
+             for _ in range(3)]
+    assert reads == [agents.PROMPT_PATH]
+    assert all(agent.template is built[0].template for agent in built)
+
+
 def test_bundled_prompt_loads_and_mentions_the_wire_fields():
     text = load_prompt()
     for token in ("next_experiments", "test_hypothesis_flag",
@@ -726,6 +743,34 @@ def test_urllib_transport_sends_the_protocol_request(chat_stub, monkeypatch, key
         "temperature": 0.3,
         "max_tokens": 4096,
     }).encode("utf-8")
+
+
+@pytest.mark.parametrize("model", ['stub "content": "" \\ ☃', ""])
+def test_urllib_transport_sends_the_protocol_request_on_every_turn(
+        chat_stub, monkeypatch, model):
+    # The body is assembled from escaped pieces; a model name that looks
+    # like the content member or is empty, and a context that must be
+    # escaped twice, are sent as json.dumps of the whole request would
+    # send them.  The stub answers one reply per session with chatter, so
+    # a retry's `# Notice` goes over the wire too.
+    env = ENVS["hooke"]
+    env = replace(env, context=env.context + " Près du ressort, k ≈ 2 N/m (弹簧) \U0001d53c.")
+    build, wants = agents.build_prompt, []
+
+    def recorded(template, packet, error_notice, encoder):
+        prompt = reference_prompt(template, packet, error_notice)
+        wants.append(protocol_request(prompt, model))
+        return build(template, packet, error_notice, encoder)
+
+    monkeypatch.setattr(agents, "build_prompt", recorded)
+    session = drive(env, HttpAgentFactory(chat_stub.url, model=model), seed=5)
+    assert session.status in (SOLVED, "exhausted")
+    bodies = [body for _, body in chat_stub.requests]
+    assert bodies == wants
+    assert len(bodies) == session.turn_index + 1
+    assert sum(b"# Notice" in body for body in bodies) == 1
+    assert b"last_oracle_result" in bodies[-1]
+    assert b"\\\\u00e8" in bodies[0]  # "è" escaped in the packet, then in the request
 
 
 def test_urllib_transport_reports_an_http_error(chat_stub):
@@ -845,6 +890,16 @@ def drive_packets(agent, session, rebuild_every=0):
     return packets
 
 
+def protocol_request(prompt, model="test-model"):
+    """The request body PROTOCOL.md specifies for one HTTP exchange."""
+    return json.dumps({
+        "model": model,
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": 0.3,
+        "max_tokens": 4096,
+    }).encode("utf-8")
+
+
 def reference_prompt(template, packet, error_notice=None):
     parts = [template, "\n# Current Input\n"]
     parts.append("```json\n" + json.dumps(packet.to_wire(), indent=2) + "\n```\n")
@@ -871,14 +926,21 @@ def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, k
 
         agent._exchange = recorded
     else:
-        build = agents.build_prompt
+        # Each exchange's body against the request that holds the prompt
+        # built from to_wire; build_prompt runs once per exchange, just
+        # before the transport call.
+        build, transport, wants = agents.build_prompt, agent.config.transport, []
 
         def recorded(template, packet, error_notice, encoder):
-            prompt = build(template, packet, error_notice, encoder)
-            sent.append((prompt, reference_prompt(template, packet, error_notice)))
-            return prompt
+            wants.append(protocol_request(reference_prompt(template, packet, error_notice)))
+            return build(template, packet, error_notice, encoder)
+
+        def sending(url, headers, body):
+            sent.append((body, wants[-1]))
+            return transport(url, headers, body)
 
         monkeypatch.setattr(agents, "build_prompt", recorded)
+        agent.config.transport = sending
     packets = drive_packets(agent, session, rebuild_every=3)
     if kind == "subprocess":
         index = -1
@@ -900,7 +962,10 @@ def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, k
         "out-of-domain", "validity"}
     assert any("proposal skipped" in text for _, text in session.notices)
     if level == "L1":
-        assert "\\u03b5\\u2080" in sent[0][0]
+        first = sent[0][0]
+        if kind == "http":
+            first = json.loads(first)["messages"][0]["content"]
+        assert "\\u03b5\\u2080" in first
 
 
 def test_packet_encoder_re_encodes_entries_it_did_not_send():
@@ -913,8 +978,62 @@ def test_packet_encoder_re_encodes_entries_it_did_not_send():
     edited = ObservationPacket.from_wire(doc)
     for indent in (None, 2):
         encoder = agents.PacketEncoder(indent)
+        quoted = agents.PacketEncoder(indent, quoted=True)
         for sent in (packet, edited, packet, first, packet):
-            assert encoder.encode(sent) == json.dumps(sent.to_wire(), indent=indent)
+            text = encoder.encode(sent)
+            assert text == json.dumps(sent.to_wire(), indent=indent)
+            assert quoted.encode(sent) == json.dumps(text)[1:-1]
+
+
+def encoder_calls(monkeypatch):
+    """Spy on json.dumps: the keyword arguments of every call."""
+    calls, dumps = [], json.dumps
+
+    def spying(obj, *args, **kwargs):
+        calls.append(kwargs)
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", spying)
+    return calls
+
+
+def test_packet_encoder_writes_flat_objects_as_the_indenting_encoder(monkeypatch):
+    # The C encoder with the indentation as its item separator, twinned
+    # with json.dumps(indent=2) shifted to the value's depth.
+    rng = random.Random(1717)
+    plain = agents.PacketEncoder(indent=2)
+    quoted = agents.PacketEncoder(indent=2, quoted=True)
+    cases = [gen.random_flat_object(rng) for _ in range(400)]
+    cases.append({key: value for key, value in zip(gen.TEXT_PIECES, gen.FLAT_SCALARS)})
+    for value in cases:
+        for depth in range(3):
+            want = json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+            calls = encoder_calls(monkeypatch)
+            text = plain._dumps(value, depth)
+            monkeypatch.undo()
+            assert [call.get("indent") for call in calls] == [None]  # the fast path
+            assert text == want
+            assert quoted._dumps(value, depth) == json.dumps(text)[1:-1]
+
+
+class Count(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [
+    {}, {"a": {"b": 1.5}}, {"a": [1, "x"]}, {"a": 1, "b": Count(3)}, {"é": Count(-7)},
+    [{"a": 1}], "text \"円\"", 2**70, None,
+])
+def test_packet_encoder_writes_other_values_with_the_indenting_encoder(monkeypatch, value):
+    plain = agents.PacketEncoder(indent=2)
+    quoted = agents.PacketEncoder(indent=2, quoted=True)
+    for depth in range(3):
+        calls = encoder_calls(monkeypatch)
+        text = plain._dumps(value, depth)
+        monkeypatch.undo()
+        assert [call.get("indent") for call in calls] == [2]
+        assert text == json.dumps(value, indent=2).replace("\n", "\n" + "  " * depth)
+        assert quoted._dumps(value, depth) == json.dumps(text)[1:-1]
 
 
 @pytest.mark.parametrize("kind", ["subprocess", "http"])
