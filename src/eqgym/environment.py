@@ -181,12 +181,19 @@ def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
     return env
 
 
-def _require(data: Mapping, key: str, kind, where: str):
+def _require(data: Mapping, key: str, kind, where: str, default=None):
+    """data[key], checked to be a `kind` (a type or a tuple of types), or
+    `default`, if one is given, when the field is absent."""
     if key not in data:
+        if default is not None:
+            return default
         raise SchemaError(f"{where}: missing field {key!r}")
     value = data[key]
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}: field {key!r} must be {kind.__name__}")
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    # JSON true and false are no numbers, though bool is an int subclass.
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise SchemaError(f"{where}: field {key!r} must be {names}")
     return value
 
 
@@ -195,6 +202,8 @@ def _load_domain(data, where: str) -> VariableDomain:
         raise SchemaError(f"{where}: domain must be an object")
     lower = _require(data, "lower", (int, float), where)
     upper = _require(data, "upper", (int, float), where)
+    lower_closed = _require(data, "lower_closed", bool, where, True)
+    upper_closed = _require(data, "upper_closed", bool, where, True)
     scale = data.get("scale", "auto")
     if scale not in ("auto", "linear", "log"):
         raise SchemaError(f"{where}: unknown scale {scale!r}")
@@ -202,11 +211,11 @@ def _load_domain(data, where: str) -> VariableDomain:
         return VariableDomain(
             float(lower),
             float(upper),
-            lower_closed=bool(data.get("lower_closed", True)),
-            upper_closed=bool(data.get("upper_closed", True)),
+            lower_closed=lower_closed,
+            upper_closed=upper_closed,
             scale_hint=scale,
         )
-    except ValueError as err:
+    except (ValueError, OverflowError) as err:  # an int bound beyond float range
         raise SchemaError(f"{where}: {err}") from None
 
 
@@ -256,7 +265,7 @@ def load_spec(data: Mapping) -> EnvironmentSpec:
     except ExpressionError as err:
         raise SchemaError(f"{where}: bad equation: {err}") from None
     validity = []
-    for i, text in enumerate(data.get("validity", [])):
+    for i, text in enumerate(_require(data, "validity", list, where, [])):
         if not isinstance(text, str):
             raise SchemaError(f"{where}.validity[{i}]: must be a string")
         try:

@@ -69,6 +69,9 @@ class EmptyRun(ValueError):
 
 @dataclass(frozen=True)
 class RunPlan:
+    """A run's grid and budgets, its sequences kept as tuples; a plan that
+    cannot run raises PlanError when it is made."""
+
     environments: tuple[EnvironmentSpec, ...]
     levels: tuple[str, ...]
     agents: tuple
@@ -78,64 +81,54 @@ class RunPlan:
     replicates: int = 1
     parallelism: int | None = None
 
+    def __post_init__(self):
+        for name in ("environments", "levels", "agents"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not self.environments:
+            raise PlanError("empty environment set")
+        seen_envs = set()
+        for env in self.environments:
+            if env.env_id in seen_envs:
+                raise PlanError(f"duplicate environment id {env.env_id!r}")
+            seen_envs.add(env.env_id)
+        if not self.levels:
+            raise PlanError("empty level set")
+        for level in self.levels:
+            if level not in LEVELS:
+                raise PlanError(f"unknown prior level {level!r}")
+        if not self.agents:
+            raise PlanError("no agents configured")
+        seen_agents = set()
+        for factory in self.agents:
+            if factory.name in seen_agents:
+                raise PlanError(f"duplicate agent name {factory.name!r}")
+            seen_agents.add(factory.name)
+        if self.experiments_quota < 0 or self.test_quota < 0:
+            raise PlanError("quotas must be >= 0")
+        if self.replicates < 1:
+            raise PlanError("replicates must be >= 1")
+        if self.parallelism is not None and self.parallelism < 1:
+            raise PlanError("parallelism must be >= 1")
 
-def build_plan(
-    environments: Sequence[EnvironmentSpec],
-    levels: Sequence[str],
-    agents: Sequence,
-    experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
-    test_quota: int = DEFAULT_TEST_QUOTA,
-    seed: int = 0,
-    replicates: int = 1,
-    parallelism: int | None = None,
-) -> RunPlan:
-    if not environments:
-        raise PlanError("empty environment set")
-    seen_envs = set()
-    for env in environments:
-        if env.env_id in seen_envs:
-            raise PlanError(f"duplicate environment id {env.env_id!r}")
-        seen_envs.add(env.env_id)
-    if not levels:
-        raise PlanError("empty level set")
-    for level in levels:
-        if level not in LEVELS:
-            raise PlanError(f"unknown prior level {level!r}")
-    if not agents:
-        raise PlanError("no agents configured")
-    seen_agents = set()
-    for factory in agents:
-        if factory.name in seen_agents:
-            raise PlanError(f"duplicate agent name {factory.name!r}")
-        seen_agents.add(factory.name)
-    if experiments_quota < 0 or test_quota < 0:
-        raise PlanError("quotas must be >= 0")
-    if replicates < 1:
-        raise PlanError("replicates must be >= 1")
-    if parallelism is not None and parallelism < 1:
-        raise PlanError("parallelism must be >= 1")
-    return RunPlan(
-        environments=tuple(environments),
-        levels=tuple(levels),
-        agents=tuple(agents),
-        experiments_quota=experiments_quota,
-        test_quota=test_quota,
-        seed=seed,
-        replicates=replicates,
-        parallelism=parallelism,
-    )
+    def identity(self) -> dict:
+        """The fields that decide the log's content, in the plan line's
+        order; the worker budget is not one of them."""
+        return {
+            "environments": [env.env_id for env in self.environments],
+            "levels": list(self.levels),
+            "agents": [factory.name for factory in self.agents],
+            "experiments_quota": self.experiments_quota,
+            "test_quota": self.test_quota,
+            "seed": self.seed,
+            "replicates": self.replicates,
+        }
+
+
+build_plan = RunPlan
 
 
 def plan_hash(plan: RunPlan) -> str:
-    document = json.dumps({
-        "environments": [env.env_id for env in plan.environments],
-        "levels": list(plan.levels),
-        "agents": [factory.name for factory in plan.agents],
-        "experiments_quota": plan.experiments_quota,
-        "test_quota": plan.test_quota,
-        "seed": plan.seed,
-        "replicates": plan.replicates,
-    }, sort_keys=True)
+    document = json.dumps(plan.identity(), sort_keys=True)
     return hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
 
 
@@ -165,13 +158,13 @@ def run_session(
     experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
     test_quota: int = DEFAULT_TEST_QUOTA,
     seed: int = 0,
-    max_turns: int | None = None,
 ) -> dict:
     """Drive one agent/environment session to a terminal state.
 
     Any agent-side exception turns into a protocol_failure transcript;
     a turn that moves nothing (no experiments, no hypothesis, no test)
-    ends the session as exhausted.
+    ends the session as exhausted, and so does reaching
+    experiments_quota + test_quota + 8 turns.
     """
     session = new_session(
         env, level,
@@ -186,11 +179,8 @@ def run_session(
     except Exception as err:
         session.fail(f"agent construction failed: {err}")
         return session.transcript()
-    limit = max_turns if max_turns is not None else (
-        experiments_quota + test_quota + 8
-    )
     try:
-        for _ in range(limit):
+        for _ in range(experiments_quota + test_quota + 8):
             if session.status != ACTIVE:
                 break
             try:
@@ -474,19 +464,10 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
             sink.write(json.dumps(document) + "\n")
             sink.flush()
 
+    digest, version = plan_hash(plan), _version()
     try:
-        emit({
-            "kind": "plan",
-            "plan_hash": plan_hash(plan),
-            "version": _version(),
-            "environments": [env.env_id for env in plan.environments],
-            "levels": list(plan.levels),
-            "agents": [factory.name for factory in plan.agents],
-            "experiments_quota": plan.experiments_quota,
-            "test_quota": plan.test_quota,
-            "seed": plan.seed,
-            "replicates": plan.replicates,
-        })
+        emit({"kind": "plan", "plan_hash": digest, "version": version,
+              **plan.identity()})
         for env in plan.environments:
             emit({
                 "kind": "environment",
@@ -502,11 +483,11 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
 
     wall = time.perf_counter() - started
     record = RunRecord(
-        plan_hash=plan_hash(plan),
+        plan_hash=digest,
         transcripts=[d for d in documents if d.get("kind") == "transcript"],
         errors=[d for d in documents if d.get("kind") != "transcript"],
         wall_clock_seconds=wall,
-        version=_version(),
+        version=version,
         out_dir=str(out_dir) if out_dir is not None else None,
     )
     if out_dir is not None:
@@ -607,7 +588,7 @@ def _cmd_run(args) -> int:
     environments = _load_envs(args.envs)
     options = {"model": args.model, "api_key_env": args.api_key_env}
     factories = [agent_from_spec(spec, **options) for spec in args.agents]
-    plan = build_plan(
+    plan = RunPlan(
         environments,
         _parse_levels(args.levels),
         factories,
@@ -679,7 +660,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute an environments x levels x agents grid")
+    session_p = argparse.ArgumentParser(add_help=False)
+    session_p.add_argument("--experiments-quota", type=int,
+                           default=DEFAULT_EXPERIMENTS_QUOTA)
+    session_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)
+    session_p.add_argument("--seed", type=int, default=0)
+    session_p.add_argument("--model", default=None, help="model name for http agents")
+    session_p.add_argument("--api-key-env", default=None,
+                           help="environment variable holding the http agent API key")
+
+    run_p = sub.add_parser("run", parents=[session_p],
+                           help="execute an environments x levels x agents grid")
     run_p.add_argument("--envs", default=None,
                        help="environment file or directory (default: bundled set)")
     run_p.add_argument("--levels", default="L1,L2,L3,L4",
@@ -688,10 +679,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help='agent spec: scripted:<name>, subprocess:"<cmd>", '
                             "or an http(s):// endpoint URL (also as http:<url>); "
                             "repeatable")
-    run_p.add_argument("--experiments-quota", type=int,
-                       default=DEFAULT_EXPERIMENTS_QUOTA)
-    run_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)
-    run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--replicates", type=int, default=1)
     run_p.add_argument("--parallel", type=int, default=None,
                        help="worker budget: how many cells run at once "
@@ -701,9 +688,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "up; the default caps the threads at "
                             f"{HTTP_PARALLEL_CAP}")
     run_p.add_argument("--out", required=True, help="output directory")
-    run_p.add_argument("--model", default=None, help="model name for http agents")
-    run_p.add_argument("--api-key-env", default=None,
-                       help="environment variable holding the http agent API key")
     run_p.set_defaults(handler=_cmd_run)
 
     report_p = sub.add_parser("report", help="summarize a finished run")
@@ -716,16 +700,11 @@ def _build_parser() -> argparse.ArgumentParser:
     validate_p.add_argument("--envs", required=True)
     validate_p.set_defaults(handler=_cmd_validate)
 
-    play_p = sub.add_parser("play", help="run one session and print the transcript")
+    play_p = sub.add_parser("play", parents=[session_p],
+                            help="run one session and print the transcript")
     play_p.add_argument("--env", required=True, help="environment file")
     play_p.add_argument("--level", default="L1")
     play_p.add_argument("--agent", default="scripted:power_law")
-    play_p.add_argument("--experiments-quota", type=int,
-                        default=DEFAULT_EXPERIMENTS_QUOTA)
-    play_p.add_argument("--test-quota", type=int, default=DEFAULT_TEST_QUOTA)
-    play_p.add_argument("--seed", type=int, default=0)
-    play_p.add_argument("--model", default=None)
-    play_p.add_argument("--api-key-env", default=None)
     play_p.set_defaults(handler=_cmd_play)
 
     return parser

@@ -12,8 +12,7 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Mapping
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from . import evaluation
 from .environment import EnvironmentSpec, PriorMask, LEVELS, render_observation, run_experiment
@@ -50,8 +49,9 @@ class ObservationPacket:
     """The full agent-facing state document for one turn.
 
     `historical_experiments` is a fresh list, but its entries are the
-    session's own history dicts, shared with every later packet and the
-    transcript: in-process agents must treat them as read-only.
+    session's own history dicts, the same ones that each turn's
+    `TurnOutcome.executed` returned and that every later packet and the
+    transcript share: in-process callers must treat them as read-only.
     `to_wire` copies them.  Remote agents' encoders (`agents.PacketEncoder`)
     keep the JSON text of each entry they sent (escaped for the request on
     HTTP), matched by identity, so a mutated entry would leave it stale.
@@ -113,22 +113,6 @@ class ObservationPacket:
 
 
 @dataclass
-class ExperimentRecord:
-    assignment: dict[str, float]  # display names, declaration order
-    value: float | None
-    invalid_reason: str | None
-    turn_index: int
-
-    def flattened(self, output_name: str) -> dict:
-        entry: dict[str, Any] = dict(self.assignment)
-        if self.invalid_reason is None:
-            entry[output_name] = self.value
-        else:
-            entry["invalid"] = self.invalid_reason
-        return entry
-
-
-@dataclass
 class HypothesisRecord:
     formula: str
     turn_index: int
@@ -139,7 +123,15 @@ class HypothesisRecord:
 
 @dataclass
 class TurnOutcome:
-    executed: list[ExperimentRecord]
+    """What one turn did.
+
+    `executed` holds the history entries this turn appended, in display
+    space: the assignment, then the output's value or an `"invalid"`
+    reason.  They are the very dicts that every later packet and the
+    transcript share, so in-process callers must treat them as read-only.
+    """
+
+    executed: list[dict]
     dropped: int
     malformed: int
     hypothesis_recorded: bool
@@ -151,17 +143,22 @@ class TurnOutcome:
 
 
 class Session:
-    """Mutable state machine for one agent/environment episode."""
+    """Mutable state machine for one agent/environment episode; `mask` may
+    be a PriorMask or a level label."""
 
     def __init__(
         self,
         env: EnvironmentSpec,
-        mask: PriorMask,
+        mask: PriorMask | str = "L1",
         experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
         test_quota: int = DEFAULT_TEST_QUOTA,
         seed: int = 0,
         agent_name: str = "",
     ):
+        if isinstance(mask, str):
+            if mask not in LEVELS:
+                raise ValueError(f"unknown prior level {mask!r}")
+            mask = LEVELS[mask]
         if experiments_quota < 0 or test_quota < 0:
             raise ValueError("quotas must be >= 0")
         self.env = env
@@ -173,12 +170,9 @@ class Session:
         self.test_quota = test_quota
         self.experiments_remaining = experiments_quota
         self.tests_remaining = test_quota
-        # The typed, public record of each experiment; the tests check
-        # `_history` against it.
-        self.records: list[ExperimentRecord] = []
-        # Each record flattened once, in display space.  Packets and the
+        # One entry per experiment, in display space.  Packets and the
         # transcript take shallow copies that share these entries, so no
-        # turn re-flattens the history.
+        # turn rebuilds the history.
         self._history: list[dict] = []
         self.hypotheses: list[HypothesisRecord] = []
         self.status = ACTIVE
@@ -231,7 +225,7 @@ class Session:
             raise TerminalSession(f"session is {self.status}")
         started = time.perf_counter()
         notices: list[str] = []
-        executed: list[ExperimentRecord] = []
+        executed: list[dict] = []
         dropped = 0
         malformed = 0
 
@@ -248,8 +242,7 @@ class Session:
                 malformed += 1
                 notices.append(f"experiment proposal skipped: {problem}")
                 continue
-            record = self._run_one(proposal)
-            executed.append(record)
+            executed.append(self._run_one(proposal))
 
         formula = (getattr(turn, "current_hypothesis_formula", "") or "").strip()
         hypothesis: HypothesisRecord | None = None
@@ -316,21 +309,18 @@ class Session:
                 return f"value for {name} must be a finite number"
         return None
 
-    def _run_one(self, proposal: Mapping[str, float]) -> ExperimentRecord:
-        display, true_assignment = {}, {}
+    def _run_one(self, proposal: Mapping[str, float]) -> dict:
+        entry, true_assignment = {}, {}
         for name, true in self._to_true.items():
-            display[name] = true_assignment[true] = float(proposal[name])
+            entry[name] = true_assignment[true] = float(proposal[name])
         outcome = run_experiment(self.env, true_assignment)
         self.experiments_remaining -= 1
         if isinstance(outcome, Value):
-            record = ExperimentRecord(display, outcome.value, None, self.turn_index)
+            entry[self._output_display] = outcome.value
         else:
-            record = ExperimentRecord(
-                display, None, self._display_reason(outcome, display), self.turn_index
-            )
-        self.records.append(record)
-        self._history.append(record.flattened(self._output_display))
-        return record
+            entry["invalid"] = self._display_reason(outcome, entry)
+        self._history.append(entry)
+        return entry
 
     def _display_reason(self, err: DomainError, display: Mapping[str, float]) -> str:
         # Reworded in display space: the agent must not learn true names
@@ -421,7 +411,7 @@ class Session:
             "status": self.status,
             "solved": self.status == SOLVED,
             "turn_count": self.turn_index,
-            "experiments_used": len(self.records),
+            "experiments_used": len(self._history),
             "tests_used": self.test_quota - self.tests_remaining,
             "experiments": list(self._history),
             "hypotheses": [
@@ -441,25 +431,4 @@ class Session:
         }
 
 
-def new_session(
-    env: EnvironmentSpec,
-    mask: PriorMask | str = "L1",
-    experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
-    test_quota: int = DEFAULT_TEST_QUOTA,
-    seed: int = 0,
-    agent_name: str = "",
-) -> Session:
-    """Create a session; `mask` may be a PriorMask or a level label."""
-    if isinstance(mask, str):
-        try:
-            mask = LEVELS[mask]
-        except KeyError:
-            raise ValueError(f"unknown prior level {mask!r}") from None
-    return Session(
-        env,
-        mask,
-        experiments_quota=experiments_quota,
-        test_quota=test_quota,
-        seed=seed,
-        agent_name=agent_name,
-    )
+new_session = Session

@@ -265,12 +265,12 @@ def test_criterion_4_session_accounting_invariants():
                     break
                 tests_used_before = session.test_quota - session.tests_remaining
                 experiments_before = session.experiments_remaining
-                history_before = list(session.records)
+                history_before = list(session._history)
                 outcome = session.submit_turn(_random_turn(rng, names))
                 turns_done += 1
                 # quota conservation
                 assert (
-                    session.experiments_remaining + len(session.records)
+                    session.experiments_remaining + len(session._history)
                     == session.experiments_quota
                 )
                 assert session.experiments_remaining >= 0
@@ -284,7 +284,7 @@ def test_criterion_4_session_accounting_invariants():
                 spent = 1 if outcome.oracle is not None else 0
                 assert tests_used == tests_used_before + spent
                 # append-only history
-                assert session.records[: len(history_before)] == history_before
+                assert session._history[: len(history_before)] == history_before
                 statuses.append(session.status)
             # monotone status: a single terminal state, never re-entered
             terminal = [s for s in statuses if s != ACTIVE]
@@ -306,7 +306,7 @@ def test_criterion_5_masking_leak_freedom():
             agent = RandomAgentFactory(batch=5).build(session)
             while session.status == ACTIVE and session.experiments_remaining > 0:
                 session.submit_turn(agent.act(session.observation_packet()))
-            assert len(session.records) == 20
+            assert len(session._history) == 20
             text = json.dumps(session.transcript())
             tokens = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", text))
             true_names = {v.name for v in env.inputs + env.dummies} | {env.output.name}

@@ -262,7 +262,7 @@ def test_random_agent_runs_down_quota_then_idles():
     session = drive(env, RandomAgentFactory(batch=3), experiments_quota=10,
                     test_quota=2, seed=3)
     assert session.status == "exhausted"
-    assert len(session.records) == 10
+    assert len(session._history) == 10
     assert session.tests_remaining == 2
     assert session.hypotheses == []
 
@@ -275,14 +275,14 @@ def test_power_law_solves_hooke_at_every_level():
     for level in ("L1", "L2", "L3", "L4"):
         session = drive(env, PowerLawAgentFactory(), mask=level, seed=1)
         assert session.status == SOLVED, level
-        assert len(session.records) == 5
+        assert len(session._history) == 5
         assert session.test_quota - session.tests_remaining == 1
 
 
 def test_power_law_solves_tube_env():
     session = drive(ENVS["env_716"], PowerLawAgentFactory(), mask="L4", seed=1)
     assert session.status == SOLVED
-    assert len(session.records) == 11
+    assert len(session._history) == 11
     assert session.test_quota - session.tests_remaining == 1
     # masked session: the winning formula speaks display names only
     formula = session.hypotheses[-1].formula
@@ -1049,14 +1049,20 @@ def test_each_history_entry_is_encoded_once_per_agent(tmp_path, monkeypatch, kin
 
     session = new_session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
     agent = policy_agent(kind, tmp_path)
+    turns = []  # the turn of each history entry
     monkeypatch.setattr(json, "dumps", counting)
-    drive_packets(agent, session)
+    try:
+        while session.status == ACTIVE and session.turn_index < 40:
+            outcome = session.submit_turn(agent.act(session.observation_packet()))
+            turns += [outcome.turn_index] * len(outcome.executed)
+    finally:
+        agent.close()
     monkeypatch.undo()
     assert len(session._history) == 60
     # The last turn's experiments end the session and are never sent.
     last = session.turn_index - 1
     assert [sum(obj is entry for obj in encoded) for entry in session._history] == [
-        int(record.turn_index < last) for record in session.records]
+        int(turn < last) for turn in turns]
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import pytest
 
@@ -71,6 +73,38 @@ def test_load_minimal():
 def test_schema_errors(mutation):
     with pytest.raises(SchemaError):
         _spec(**mutation)
+
+
+def _with_domain(**fields):
+    domain = {"lower": 0.1, "upper": 10.0, **fields}
+    return {"variables": [{**MINIMAL["variables"][0], "domain": domain},
+                          *MINIMAL["variables"][1:]]}
+
+
+MALFORMED = {
+    "validity-number": ({"validity": 5}, "field 'validity' must be list"),
+    "validity-string": ({"validity": "h < m"}, "field 'validity' must be list"),
+    "lower_closed-string": (_with_domain(lower_closed="false"),
+                            "variables[0]: field 'lower_closed' must be bool"),
+    "lower-bool": (_with_domain(lower=True), "variables[0]: field 'lower' must be int or float"),
+    "upper-string": (_with_domain(upper="10"), "variables[0]: field 'upper' must be int or float"),
+    "upper-huge-int": (_with_domain(upper=10**400), "variables[0]: int too large"),
+}
+
+
+@pytest.mark.parametrize("mutation, where", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_fields_are_schema_errors(mutation, where):
+    with pytest.raises(SchemaError, match=re.escape(where)):
+        _spec(**mutation)
+
+
+def test_cli_validate_exits_2_on_a_malformed_field(tmp_path, capsys):
+    from eqgym.harness import main
+
+    (tmp_path / "demo.json").write_text(json.dumps({**MINIMAL, "validity": 5}))
+    assert main(["validate", "--envs", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: environment 'demo': field 'validity' must be list\n"
 
 
 def test_validation_errors():

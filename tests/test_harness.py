@@ -21,6 +21,7 @@ from eqgym.harness import (
     HTTP_PARALLEL_CAP,
     EmptyRun,
     PlanError,
+    RunPlan,
     _cells,
     _default_parallelism,
     _run_cells,
@@ -83,6 +84,8 @@ def test_build_plan_rejects(kwargs):
     base.update(kwargs)
     with pytest.raises(PlanError):
         build_plan(**base)
+    with pytest.raises(PlanError):
+        RunPlan(**base)
 
 
 def test_build_plan_rejects_duplicate_agent_names():
@@ -113,6 +116,28 @@ def test_plan_hash_tracks_content():
     assert plan_hash(plan_a) != plan_hash(plan_c)
     # Pinned: a changed hash changes the bytes of every run log.
     assert plan_hash(plan_a) == "c7d8d4747901a66c"
+
+
+def test_plan_line_lists_the_hashed_fields(tmp_path):
+    plan = RunPlan((ENVS["hooke"], ENVS["env_716"]), ("L1", "L4"),
+                   (PowerLawAgentFactory(),), experiments_quota=7, test_quota=2,
+                   seed=3, replicates=2, parallelism=1)
+    record = execute(plan, tmp_path)
+    line = json.loads((tmp_path / "run.jsonl").read_text().split("\n")[0])
+    fields = {
+        "environments": ["hooke", "env_716"],
+        "levels": ["L1", "L4"],
+        "agents": ["power_law"],
+        "experiments_quota": 7,
+        "test_quota": 2,
+        "seed": 3,
+        "replicates": 2,
+    }
+    assert line == {"kind": "plan", "plan_hash": plan_hash(plan),
+                    "version": eqgym.__version__, **fields}
+    assert list(line) == ["kind", "plan_hash", "version", *fields]
+    assert record.plan_hash == plan_hash(plan)
+    assert record.version == eqgym.__version__
 
 
 def test_default_parallelism_honours_cpu_affinity(monkeypatch):
@@ -193,9 +218,11 @@ def test_run_session_max_turns_forces_exhausted():
         def close(self):
             pass
 
-    transcript = run_session(ENVS["hooke"], "L1", Staller(), seed=7, max_turns=6)
+    # The turn cap is experiments_quota + test_quota + 8.
+    transcript = run_session(ENVS["hooke"], "L1", Staller(), seed=7,
+                             experiments_quota=1, test_quota=0)
     assert transcript["status"] == "exhausted"
-    assert transcript["turn_count"] == 6
+    assert transcript["turn_count"] == 9
 
 
 def test_run_session_tall_formula_is_a_notice():
@@ -214,7 +241,7 @@ def test_run_session_tall_formula_is_a_notice():
             pass
 
     transcript = run_session(ENVS["hooke"], "L1", TallFormula(), seed=7,
-                             test_quota=1, max_turns=2)
+                             experiments_quota=0, test_quota=1)
     assert transcript["kind"] == "transcript"
     assert transcript["status"] == "exhausted"
     assert transcript["tests_used"] == 0
@@ -241,8 +268,9 @@ def test_run_session_non_finite_proposals_are_notices():
         def close(self):
             pass
 
+    # Two turns: each runs one experiment, which the quota allows.
     transcript = run_session(ENVS["hooke"], "L1", NonFinite(), seed=7,
-                             experiments_quota=10, max_turns=2)
+                             experiments_quota=2, test_quota=0)
     assert transcript["kind"] == "transcript"
     assert transcript["status"] == "exhausted"
     assert transcript["experiments_used"] == 2

@@ -17,7 +17,6 @@ from eqgym.environment import (
 from eqgym.expr import EQUIV_POINTS
 from eqgym.harness import run_session
 from eqgym.session import (
-    ExperimentRecord,
     ObservationPacket,
     Session,
     TerminalSession,
@@ -63,9 +62,6 @@ def test_experiments_consume_quota_and_flatten():
     assert entry["invalid"].startswith("out-of-domain: k")
 
 
-def _flattened_history(session):
-    output = next(iter(session.header.observable_variable))
-    return [r.flattened(output) for r in session.records]
 
 
 @pytest.mark.parametrize("env_id, level, turns", [
@@ -83,9 +79,9 @@ def _flattened_history(session):
 ])
 def test_history_matches_records_after_every_turn(env_id, level, turns):
     session = new_session(env_by_id(env_id), level, experiments_quota=20)
+    expected = []
     for experiments in turns:
-        session.submit_turn(turn(experiments))
-        expected = _flattened_history(session)
+        expected += session.submit_turn(turn(experiments)).executed
         assert session.observation_packet().historical_experiments == expected
         assert session.transcript()["experiments"] == expected
     reasons = [e.get("invalid", "") for e in session.transcript()["experiments"]]
@@ -97,8 +93,9 @@ def test_history_matches_records_after_every_turn(env_id, level, turns):
 
 def test_packet_list_is_not_the_history():
     session = new_session(env_by_id("hooke"), "L1", experiments_quota=10)
-    session.submit_turn(turn([{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": 5.0}]))
-    expected = _flattened_history(session)
+    expected = session.submit_turn(
+        turn([{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": 5.0}])).executed
+    assert expected == [{"F": 1.0, "k": 10.0, "x": 0.1}, {"F": 2.0, "k": 5.0, "x": 0.4}]
     first = session.observation_packet()
     first.historical_experiments.append({"F": 9.0, "k": 9.0, "x": 1.0})
     assert session.observation_packet().historical_experiments == expected
@@ -109,22 +106,22 @@ def test_packet_list_is_not_the_history():
     assert session.transcript()["experiments"] == expected
 
 
-def test_each_experiment_is_flattened_once(monkeypatch):
-    # Re-flattening the history on every turn made a session quadratic in
-    # its experiment quota.
-    calls = []
-    original = ExperimentRecord.flattened
+def test_each_experiment_is_recorded_once_as_its_history_entry():
+    # One dict per experiment: the entry a turn returns is the one that
+    # every later packet and the transcript carry, never a copy.
+    def same_objects(got, want):
+        return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
-    def counting(self, output_name):
-        calls.append(self)
-        return original(self, output_name)
-
-    monkeypatch.setattr(ExperimentRecord, "flattened", counting)
-    transcript = run_session(env_by_id("multi_energy"), "L1",
-                             agent_from_spec("scripted:random"),
-                             experiments_quota=400, seed=11)
-    assert transcript["experiments_used"] == 400
-    assert len(calls) == transcript["experiments_used"]
+    session = new_session(env_by_id("multi_energy"), "L1", experiments_quota=400, seed=11)
+    agent = agent_from_spec("scripted:random").build(session)
+    entries = []
+    while session.experiments_remaining:
+        packet = session.observation_packet()
+        assert same_objects(packet.historical_experiments, entries)
+        entries += session.submit_turn(agent.act(packet)).executed
+    assert len(entries) == 400
+    assert same_objects(session.observation_packet().historical_experiments, entries)
+    assert same_objects(session.transcript()["experiments"], entries)
 
 
 def test_each_hypothesis_is_walked_for_its_variables_once(monkeypatch):
@@ -383,11 +380,10 @@ def test_display_space_validity_reason():
     session = new_session(env_by_id("env_409"), "L4", experiments_quota=10)
     proposal = {"var_1": 1.0, "var_2": 1.0, "var_3": 0.5, "var_4": 0.9}
     out = session.submit_turn(turn([proposal]))
-    record = out.executed[0]
-    assert record.invalid_reason is not None
-    assert "var_4" in record.invalid_reason and "var_3" in record.invalid_reason
+    reason = out.executed[0]["invalid"]
+    assert "var_4" in reason and "var_3" in reason
     # the true names r and a must not appear as standalone tokens
-    tokens = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", record.invalid_reason))
+    tokens = set(re.findall(r"[A-Za-z_][A-Za-z0-9_]*", reason))
     assert "r" not in tokens and "a" not in tokens
 
 
