@@ -255,20 +255,13 @@ def _rationalized(c: float) -> str:
     return repr(c)
 
 
-def _display_domains(session) -> dict[str, VariableDomain]:
-    by_true = session.env.domains()
-    return {
-        display: by_true[true] for display, true in session.header.name_map.items()
-    }
-
-
 @dataclass
 class RandomAgentFactory:
     batch: int = 3
     name: str = "random"
 
     def build(self, session) -> RandomAgent:
-        return RandomAgent(_display_domains(session), session.seed, self.batch)
+        return RandomAgent(session.shown_env.domains(), session.seed, self.batch)
 
 
 @dataclass
@@ -276,8 +269,8 @@ class PowerLawAgentFactory:
     name: str = "power_law"
 
     def build(self, session) -> PowerLawAgent:
-        output_name = next(iter(session.header.observable_variable))
-        return PowerLawAgent(_display_domains(session), output_name)
+        shown = session.shown_env
+        return PowerLawAgent(shown.domains(), shown.output.name)
 
 
 # --------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import json
 import math
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .expr import (
@@ -24,6 +24,7 @@ from .expr import (
     parse,
     render,
     rename_variables,
+    _IDENT_RE,
 )
 
 PLACEHOLDER_CONTEXT = "Unknown context."
@@ -82,17 +83,10 @@ class Constraint:
     op: str  # < <= > >=
     right: Expression
 
-    def rendered(self, naming: Mapping[str, str] | None = None) -> str:
-        left, right = self.left, self.right
-        if naming:
-            left = rename_variables(left, naming)
-            right = rename_variables(right, naming)
-        return f"{render(left)} {self.op} {render(right)}"
-
     @functools.cached_property
     def text(self) -> str:
-        """The constraint in true names, rendered on first use."""
-        return self.rendered()
+        """The constraint in its own names, rendered on first use."""
+        return f"{render(self.left)} {self.op} {render(self.right)}"
 
     def holds(self, assignment: Mapping[str, float]) -> bool:
         a = evaluate(self.left, assignment)
@@ -151,6 +145,32 @@ class EnvironmentSpec:
             (v.name, v.domain, v.domain.lower, v.domain.upper) for v in controllables
         )
 
+    @functools.cached_property
+    def anonymous(self) -> EnvironmentSpec:
+        """This environment in the names L3 and L4 show: the controllables
+        become var_1 ... var_n in order and the output var_out, also in the
+        equation and the constraints.  Dummies are never shown, so left out."""
+        naming = {v.name: f"var_{i}" for i, v in enumerate(self.controllables(), 1)}
+        equation = rename_variables(self.equation, naming)
+        return replace(
+            self,
+            inputs=tuple(replace(v, name=naming[v.name]) for v in self.inputs),
+            output=replace(self.output, name="var_out"),
+            equation=equation,
+            equation_text=render(equation),
+            dummies=(),
+            validity=tuple(
+                Constraint(rename_variables(c.left, naming), c.op,
+                           rename_variables(c.right, naming))
+                for c in self.validity
+            ),
+        )
+
+
+def shown_environment(env: EnvironmentSpec, mask: PriorMask) -> EnvironmentSpec:
+    """The environment in the variable names `mask` shows the agent."""
+    return env if mask.show_names else env.anonymous
+
 
 def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
     if not _ID_RE.match(env.env_id):
@@ -158,6 +178,10 @@ def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
     names = [v.name for v in env.inputs] + [env.output.name] + [
         v.name for v in env.dummies
     ]
+    for name in names:  # a history entry keys a failed experiment's reason by "invalid"
+        if not _IDENT_RE.match(name) or name == "invalid":
+            why = "reserved" if name == "invalid" else "not an identifier"
+            raise ValidationError(f"{env.env_id}: variable name {name!r} is {why}")
     if len(set(names)) != len(names):
         raise ValidationError(f"{env.env_id}: duplicate variable names")
     if not env.inputs:
@@ -356,8 +380,8 @@ def bundled_environments() -> list[EnvironmentSpec]:
 def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> EvalOutcome:
     """Execute one experiment against the hidden equation.
 
-    The assignment must bind exactly the controllable variables (true
-    names).  Out-of-domain values and validity violations come back as
+    The assignment must bind exactly the controllable variables, in
+    `env`'s names (`env.anonymous` takes var_1 ...).  Out-of-domain values and validity violations come back as
     DomainError with the offending variable/constraint in `subject`;
     otherwise the equation's own outcome is returned.
     """
@@ -402,7 +426,7 @@ class ObservationHeader:
     """The agent-facing view of an environment under a prior mask.
 
     `name_map` (display name -> true name) never leaves the platform; it
-    is what the session uses to translate hypotheses and proposals back.
+    is what the session uses to translate hypotheses back for the oracle.
     """
 
     problem_description: str
@@ -412,24 +436,17 @@ class ObservationHeader:
 
 
 def render_observation(env: EnvironmentSpec, mask: PriorMask) -> ObservationHeader:
-    controllables = env.controllables()
-    if mask.show_names:
-        display_names = [v.name for v in controllables]
-        output_name = env.output.name
-    else:
-        display_names = [f"var_{i + 1}" for i in range(len(controllables))]
-        output_name = "var_out"
+    shown = shown_environment(env, mask)
+    display_names = [v.name for v in shown.controllables()]
     if mask.show_descriptions:
-        descriptions = [v.description for v in controllables]
-        output_description = env.output.description
+        descriptions = [v.description for v in shown.controllables()]
+        output_description = shown.output.description
     else:
-        descriptions = [PLACEHOLDER_CONTROLLABLE] * len(controllables)
+        descriptions = [PLACEHOLDER_CONTROLLABLE] * len(display_names)
         output_description = PLACEHOLDER_OBSERVABLE
     return ObservationHeader(
         problem_description=env.context if mask.show_context else PLACEHOLDER_CONTEXT,
         controllable_variables=dict(zip(display_names, descriptions)),
-        observable_variable={output_name: output_description},
-        name_map={
-            display: v.name for display, v in zip(display_names, controllables)
-        },
+        observable_variable={shown.output.name: output_description},
+        name_map=dict(zip(display_names, env.input_names())),
     )

@@ -135,9 +135,9 @@ class Value:
 class DomainError:
     """A point where the expression is undefined (or a rejected experiment).
 
-    `reason` is a stable tag; `detail` is human-readable; `subject` names
-    the variable or constraint involved, when there is one, so callers can
-    re-render the message in a different naming scheme.
+    `reason` is a stable tag; `detail` is human-readable and names
+    variables as the evaluated tree does; `subject` names the variable or
+    constraint involved, when there is one.
     """
 
     reason: str

@@ -536,10 +536,17 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
             if number == len(lines):
                 break
             raise
+        if not isinstance(document, dict):
+            raise ValueError(f"{log}:{number}: not a JSON object")
         kind = document.get("kind")
         if kind == "transcript":
+            missing = [k for k in ("env_id", "agent", "level") if k not in document]
+            if missing:
+                raise ValueError(f"{log}:{number}: transcript lacks {', '.join(missing)}")
             transcripts.append(document)
         elif kind == "environment":
+            if "spec" not in document:
+                raise ValueError(f"{log}:{number}: environment lacks spec")
             environments.append(load_spec(document["spec"]))
     if not transcripts:
         raise EmptyRun(f"{log} holds no session transcripts")

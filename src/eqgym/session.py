@@ -3,21 +3,21 @@ experiment quota and a test quota, submitting hypotheses the platform
 judges against the ground truth.
 
 Everything an agent sees or submits lives in display space (masked
-names); the session owns the translation back to true names and never
-serializes it.
+names), experiment reasons included; only the oracle works in true
+names, through a translation the session owns and never serializes.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import evaluation
-from .environment import EnvironmentSpec, PriorMask, LEVELS, render_observation, run_experiment
+from .environment import (
+    LEVELS, EnvironmentSpec, PriorMask, render_observation, run_experiment, shown_environment,
+)
 from .expr import (
-    DomainError,
     EquivalenceVerdict,
     Expression,
     ExpressionError,
@@ -163,6 +163,8 @@ class Session:
             raise ValueError("quotas must be >= 0")
         self.env = env
         self.mask = mask
+        # The environment in the names the agent sees; experiments run on it.
+        self.shown_env = shown_environment(env, mask)
         self.header = render_observation(env, mask)
         self.seed = seed
         self.agent_name = agent_name
@@ -179,15 +181,9 @@ class Session:
         self.turn_index = 0
         self.last_tested: HypothesisRecord | None = None
         self.notices: list[tuple[int, str]] = []
-        self.turn_timings: list[float] = []  # in-memory only, never serialized
         self.failure_reason: str | None = None
-        # display name -> true name and back
+        # display name -> true name, for the oracle
         self._to_true = dict(self.header.name_map)
-        self._to_display = {true: disp for disp, true in self._to_true.items()}
-        self._output_display = next(iter(self.header.observable_variable))
-        # A validity error's subject (the constraint's text) -> its reason in
-        # display names, rendered on the constraint's first violation.
-        self._validity_reasons: dict[str, str] = {}
 
     # -- agent-facing view ---------------------------------------------------
 
@@ -223,7 +219,6 @@ class Session:
         """
         if self.status != ACTIVE:
             raise TerminalSession(f"session is {self.status}")
-        started = time.perf_counter()
         notices: list[str] = []
         executed: list[dict] = []
         dropped = 0
@@ -280,7 +275,6 @@ class Session:
             turn_index=self.turn_index,
         )
         self.turn_index += 1
-        self.turn_timings.append(time.perf_counter() - started)
         return outcome
 
     def _proposal_problem(self, proposal) -> str | None:
@@ -310,39 +304,17 @@ class Session:
         return None
 
     def _run_one(self, proposal: Mapping[str, float]) -> dict:
-        entry, true_assignment = {}, {}
-        for name, true in self._to_true.items():
-            entry[name] = true_assignment[true] = float(proposal[name])
-        outcome = run_experiment(self.env, true_assignment)
+        entry = {}
+        for name in self._to_true:
+            entry[name] = float(proposal[name])
+        outcome = run_experiment(self.shown_env, entry)
         self.experiments_remaining -= 1
         if isinstance(outcome, Value):
-            entry[self._output_display] = outcome.value
+            entry[self.shown_env.output.name] = outcome.value
         else:
-            entry["invalid"] = self._display_reason(outcome, entry)
+            entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
         self._history.append(entry)
         return entry
-
-    def _display_reason(self, err: DomainError, display: Mapping[str, float]) -> str:
-        # Reworded in display space: the agent must not learn true names
-        # from error messages.
-        if err.reason == "out-of-domain":
-            name = self._to_display.get(err.subject, err.subject)
-            return (
-                f"out-of-domain: {name} = {display.get(name)!r} "
-                "outside its admissible range"
-            )
-        if err.reason == "validity":
-            if err.subject not in self._validity_reasons:
-                shown = [c.rendered(self._to_display) for c in self.env.validity
-                         if c.text == err.subject]
-                self._validity_reasons[err.subject] = (
-                    f"validity: constraint {shown[0]} violated" if shown
-                    else "validity: constraint violated"
-                )
-            return self._validity_reasons[err.subject]
-        if err.detail:
-            return f"{err.reason}: {err.detail}"
-        return err.reason
 
     def _record_hypothesis(self, formula: str) -> HypothesisRecord:
         record = HypothesisRecord(formula, self.turn_index, None)
@@ -387,8 +359,8 @@ class Session:
     def transcript(self) -> dict:
         """Serializable session record, display space only.
 
-        Deliberately excludes the name map and any timing, so the same
-        session replays byte-identically and leaks no hidden priors.
+        Deliberately excludes the name map, so it leaks no hidden priors;
+        the same session replays byte-identically.
         """
         return {
             "kind": "transcript",

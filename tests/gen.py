@@ -515,8 +515,8 @@ def reference_run_experiment(env, assignment: Mapping[str, float]):
         if not constraint.holds(inputs_only):
             return DomainError(
                 "validity",
-                f"constraint {constraint.rendered()} violated",
-                subject=constraint.rendered(),
+                f"constraint {constraint.text} violated",
+                subject=constraint.text,
             )
     return evaluate(env.equation, inputs_only)
 

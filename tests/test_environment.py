@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import re
 
 import pytest
@@ -19,7 +20,7 @@ from eqgym.environment import (
     render_observation,
     run_experiment,
 )
-from eqgym.expr import DomainError, Value
+from eqgym.expr import DomainError, Value, sample_assignments
 
 MINIMAL = {
     "id": "demo",
@@ -105,6 +106,24 @@ def test_cli_validate_exits_2_on_a_malformed_field(tmp_path, capsys):
     assert main(["validate", "--envs", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "error: environment 'demo': field 'validity' must be list\n"
+
+
+UNUSABLE_NAMES = {"digit-first": "2x", "space": "my var", "dotted": "np.pi",
+                  "empty": "", "reserved": "invalid"}
+
+
+@pytest.mark.parametrize("name", UNUSABLE_NAMES.values(), ids=UNUSABLE_NAMES)
+def test_names_a_formula_cannot_use_are_rejected(tmp_path, capsys, name):
+    from eqgym.harness import main
+
+    variables = [{**MINIMAL["variables"][0], "name": name}, *MINIMAL["variables"][1:]]
+    with pytest.raises(ValidationError, match=re.escape(f"variable name {name!r}")):
+        _spec(variables=variables)
+    (tmp_path / "demo.json").write_text(json.dumps({**MINIMAL, "variables": variables}))
+    assert main(["validate", "--envs", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: demo: variable name {name!r} is ")
+    assert err.count("\n") == 1
 
 
 def test_validation_errors():
@@ -222,6 +241,42 @@ def test_masking_levels():
     assert l4.problem_description == PLACEHOLDER_CONTEXT
     assert set(l4.controllable_variables.values()) == {PLACEHOLDER_CONTROLLABLE}
     assert l4.observable_variable == {"var_out": PLACEHOLDER_OBSERVABLE}
+
+
+def _in_display_names(text, naming):
+    # Every identifier token, but none inside a number such as 1e+301.
+    return re.sub(r"(?<![\w.])[A-Za-z_]\w*", lambda m: naming.get(m[0], m[0]), text)
+
+
+@pytest.mark.parametrize("env", bundled_environments(), ids=lambda env: env.env_id)
+def test_anonymous_environment_runs_as_its_twin_in_display_names(env):
+    anonymous = env.anonymous
+    naming = dict(zip(env.input_names(), anonymous.input_names()))
+    assert list(naming.values()) == [f"var_{i}" for i in range(1, len(naming) + 1)]
+    assert anonymous.output.name == "var_out"
+    rng = random.Random(7)
+    domains = env.domains()
+    rows = sample_assignments(domains, 200, 7)
+    for row in rows[::2]:  # every other row pushed past a bound, or far past
+        name = rng.choice(sorted(row))
+        domain = domains[name]
+        row[name] = rng.choice([domain.lower - 1.0, domain.upper * 2.0 + 1.0, 1e301])
+    if env.env_id == "env_409":  # r < a violated
+        for row in rows[1:100:2]:
+            row["a"] = rng.uniform(0.1, 2.0)
+            row["r"] = rng.uniform(row["a"], 2.0)
+    reasons = []
+    for row in rows:
+        true = run_experiment(env, row)
+        shown = run_experiment(anonymous, {naming[k]: v for k, v in row.items()})
+        if isinstance(true, Value):
+            assert isinstance(shown, Value) and shown.value.hex() == true.value.hex()
+        else:
+            reasons.append(true.reason)
+            assert f"{shown.reason}: {shown.detail}" == _in_display_names(
+                f"{true.reason}: {true.detail}", naming)
+    assert len(reasons) <= 180 and "out-of-domain" in reasons
+    assert ("validity" in reasons) == (env.env_id == "env_409")
 
 
 def test_bundled_environments_load():

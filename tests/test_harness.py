@@ -820,6 +820,29 @@ def test_load_run_rejects_a_malformed_line_that_was_written_whole(tmp_path):
         load_run(tmp_path / "run")
 
 
+HOOKE_TRANSCRIPT = {"kind": "transcript", "env_id": "hooke", "agent": "power_law",
+                    "level": "L1", "solved": True}
+MALFORMED_LOG_LINES = {
+    "not-an-object": ([1, 2], "not a JSON object"),
+    "environment-without-spec": ({"kind": "environment"}, "environment lacks spec"),
+    **{f"transcript-without-{key}": (
+        {k: v for k, v in HOOKE_TRANSCRIPT.items() if k != key}, f"transcript lacks {key}")
+       for key in ("env_id", "agent", "level")},
+}
+
+
+@pytest.mark.parametrize("line, message", MALFORMED_LOG_LINES.values(),
+                         ids=MALFORMED_LOG_LINES)
+def test_report_rejects_a_malformed_log_line_by_number(tmp_path, capsys, line, message):
+    log = tmp_path / "run.jsonl"
+    log.write_text("\n".join(json.dumps(d) for d in ({"kind": "plan"}, line, HOOKE_TRANSCRIPT)) + "\n")
+    with pytest.raises(ValueError, match=f"run.jsonl:2: {message}$"):
+        load_run(tmp_path)
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {log}:2: {message}\n"
+
+
 def test_load_run_empty(tmp_path):
     with pytest.raises(EmptyRun):
         load_run(tmp_path)

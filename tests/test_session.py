@@ -5,11 +5,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from eqgym import expr
+from eqgym import environment, expr
 from eqgym.agents import agent_from_spec
 from eqgym.environment import (
     LEVELS,
-    Constraint,
     bundled_environments,
     load_spec,
     spec_to_dict,
@@ -147,26 +146,53 @@ def test_each_hypothesis_is_walked_for_its_variables_once(monkeypatch):
 
 
 def test_each_validity_constraint_is_rendered_once(monkeypatch):
-    # A violation used to render its constraint twice for the error, once
-    # per constraint to find it again, and once more in display names.
+    # At L4 the session runs its experiments on the environment renamed to
+    # display names, so a violated constraint is rendered once, in those
+    # names, and its true-name text never.
     env = load_spec(spec_to_dict(env_by_id("env_409")))  # nothing rendered yet
-    calls = []
-    original = Constraint.rendered
+    rendered = []
+    original = environment.render
 
-    def counting(self, naming=None):
-        calls.append(naming)
-        return original(self, naming)
+    def counting(tree):
+        rendered.append(original(tree))
+        return rendered[-1]
 
-    monkeypatch.setattr(Constraint, "rendered", counting)
+    monkeypatch.setattr(environment, "render", counting)
     transcript = run_session(env, "L4", agent_from_spec("scripted:random"),
                              experiments_quota=1600, seed=11)
     monkeypatch.undo()
     invalid = [e["invalid"] for e in transcript["experiments"] if "invalid" in e]
     assert len(invalid) >= 400
     assert set(invalid) == {"validity: constraint var_4 < var_3 violated"}
-    # Once in true names, for the error, and once in display names.
-    assert len(calls) == 2 and calls[0] is None and calls[1]
+    # The renamed law's text, then each side of the renamed constraint once.
+    assert rendered == [env.anonymous.equation_text, "var_4", "var_3"]
+    assert "text" not in env.validity[0].__dict__
     assert [c.text for c in env.validity] == ["r < a"]
+
+
+def test_an_overflowing_input_is_named_in_display_names():
+    # A domain may reach past the evaluator's 1e300 overflow limit; the
+    # overflow's reason names the variable, and at L4 it must not be the
+    # true name.
+    env = load_spec({
+        "id": "wide",
+        "context": "A secret mass is doubled.",
+        "variables": [
+            {"name": "secret_mass", "description": "Mass (kg).", "role": "input",
+             "domain": {"lower": 1.0, "upper": 1e308}},
+            {"name": "doubled_mass", "description": "Twice the mass (kg).",
+             "role": "output"},
+        ],
+        "equation": "2 * secret_mass",
+    })
+    session = new_session(env, "L4", experiments_quota=5)
+    out = session.submit_turn(turn([{"var_1": 1e301}, {"var_1": 3.0}]))
+    assert out.executed == [
+        {"var_1": 1e301, "invalid": "overflow: var_1"},
+        {"var_1": 3.0, "var_out": 6.0},
+    ]
+    text = json.dumps(session.transcript())
+    assert "secret" not in text and "doubled" not in text
 
 
 def test_malformed_proposals_cost_nothing():
@@ -399,7 +425,6 @@ def test_transcript_excludes_priors_and_timing():
     assert doc["agent"] == "tester"
     assert doc["experiments_used"] == 1
     assert doc["hypotheses"][0]["formula"] == "var_1"
-    assert session.turn_timings  # kept in memory, just not serialized
 
 
 def test_finish_and_fail():
