@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import re
 import shlex
 import subprocess
 import threading
 import time
-import urllib.error
-import urllib.request
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -289,9 +288,10 @@ class PacketEncoder:
     entry dicts (see ObservationPacket), so an entry is matched by
     identity with the one sent at its position last time and its text is
     reused; only new entries are encoded.  Any other entry, such as one
-    from `ObservationPacket.from_wire`, is encoded afresh.  A flat object
-    (every history entry, and most header fields) is encoded by the C
-    encoder, with the indentation passed as its item separator.
+    from `ObservationPacket.from_wire`, is encoded afresh.  The problem
+    statement's three members keep their text while their strings stay the
+    same, in order.  A flat object (every history entry, and most header
+    fields) is encoded by the C encoder, the indentation as its separator.
 
     A `quoted` encoder returns every text in `form`: escaped as the inside
     of a JSON string literal, ready to be placed between quotes.
@@ -302,6 +302,13 @@ class PacketEncoder:
         self.quoted = quoted
         self._sent: list[dict] = []  # history entries encoded so far, in order
         self._texts: list[str] = []  # their text, indented for the history array
+        members = [*ObservationPacket.__dataclass_fields__, "error_notice"]
+        self._keys = {key: self.form(f'"{key}": ') for key in members}
+        # Per header member: its last value's type and shape, and its text.
+        self._headers: dict[str, tuple] = {}
+        self._kept = ("", "")  # the last text given to kept_form, and its form
+        # The line break that indents each depth, in form.
+        self._breaks = [self.form("\n" + " " * ((indent or 0) * depth)) for depth in range(3)]
 
     def form(self, text: str) -> str:
         """`text` unchanged, or for a quoted encoder `json.dumps(text)[1:-1]`.
@@ -309,29 +316,48 @@ class PacketEncoder:
         concatenation is the concatenation of its pieces' forms."""
         return json.dumps(text)[1:-1] if self.quoted else text
 
+    def kept_form(self, text: str) -> str:
+        """`form(text)`, escaped once while the same text comes back."""
+        if text != self._kept[0]:
+            self._kept = (text, self.form(text))
+        return self._kept[1]
+
     def encode(self, packet: ObservationPacket, error_notice: str | None = None) -> str:
-        history = packet.historical_experiments
+        history, keys = packet.historical_experiments, self._keys
         sent, texts = self._sent, self._texts
-        kept, limit = 0, min(len(sent), len(history))
-        while kept < limit and sent[kept] is history[kept]:
-            kept += 1
+        kept = min(len(sent), len(history))
+        if not all(map(operator.is_, sent, history)):
+            kept = next(i for i, (a, b) in enumerate(zip(sent, history)) if a is not b)
         del sent[kept:], texts[kept:]
         for entry in history[kept:]:
             sent.append(entry)
             texts.append(self._dumps(entry, 2))
         members = [
-            ("problem_description", self._dumps(packet.problem_description, 1)),
-            ("controllable_variables", self._dumps(packet.controllable_variables, 1)),
-            ("observable_variable", self._dumps(packet.observable_variable, 1)),
-            ("historical_experiments", self._join("[]", texts, 1)),
-            ("quota", self._dumps(packet.quota, 1)),
+            self._header("problem_description", packet.problem_description),
+            self._header("controllable_variables", packet.controllable_variables),
+            self._header("observable_variable", packet.observable_variable),
+            self._join("[]", texts, 1, keys["historical_experiments"]),
+            keys["quota"] + self._dumps(packet.quota, 1),
         ]
         if packet.last_oracle_result is not None:
-            members.append(("last_oracle_result", self._dumps(packet.last_oracle_result, 1)))
+            oracle = self._dumps(packet.last_oracle_result, 1)
+            members.append(keys["last_oracle_result"] + oracle)
         if error_notice is not None:
-            members.append(("error_notice", self._dumps(error_notice, 1)))
-        items = [self.form(f'"{key}": ') + text for key, text in members]
-        return self._join("{}", items, 0)
+            members.append(keys["error_notice"] + self._dumps(error_notice, 1))
+        return self._join("{}", members, 0)
+
+    def _header(self, key: str, value) -> str:
+        # A dict is compared by its items, in order: JSON keeps their order.
+        shape = list(value.items()) if type(value) is dict else value
+        kept = self._headers.get(key)
+        if kept is not None and kept[0] is type(value) and kept[1] == shape:
+            return kept[2]
+        text = self._keys[key] + self._dumps(value, 1)
+        # Only strings compare equal just when their JSON does: 1 == 1.0 == True.
+        if type(value) is str or type(value) is dict and all(
+                type(k) is str and type(v) is str for k, v in shape):
+            self._headers[key] = (type(value), shape, text)
+        return text
 
     def _dumps(self, value, depth: int) -> str:
         if self.indent is None:
@@ -345,14 +371,13 @@ class PacketEncoder:
             return self.form(text + outer + "}")
         return self.form(json.dumps(value, indent=self.indent).replace("\n", outer))
 
-    def _join(self, brackets: str, items: list[str], depth: int) -> str:
+    def _join(self, brackets: str, items: list[str], depth: int, key: str = "") -> str:
         if not items:
-            return brackets
+            return key + brackets
         if self.indent is None:
-            return brackets[0] + ", ".join(items) + brackets[1]
-        inner = self.form("\n" + " " * (self.indent * (depth + 1)))
-        outer = self.form("\n" + " " * (self.indent * depth))
-        return brackets[0] + inner + ("," + inner).join(items) + outer + brackets[1]
+            return f"{key}{brackets[0]}{', '.join(items)}{brackets[1]}"
+        inner, outer = self._breaks[depth + 1], self._breaks[depth]
+        return f"{key}{brackets[0]}{inner}{(',' + inner).join(items)}{outer}{brackets[1]}"
 
 
 # --------------------------------------------------------------------------
@@ -522,10 +547,12 @@ def build_prompt(template: str, packet: ObservationPacket,
     """The prompt for one HTTP exchange, in `encoder.form`.  `encoder` is the
     agent's `PacketEncoder(indent=2, quoted=True)`: it holds the session's
     encoded history, and escapes the prompt for the request's `content`."""
-    form = encoder.form
     notice = f"\n\n# Notice\n\n{error_notice}\n" if error_notice else ""
-    prompt = form(template + "\n\n# Current Input\n\n```json\n") + encoder.encode(packet)
-    return prompt + form("\n```\n" + notice)
+    return "".join((
+        encoder.kept_form(template + "\n\n# Current Input\n\n```json\n"),
+        encoder.encode(packet),
+        encoder.form("\n```\n" + notice),
+    ))
 
 
 _FENCE_OPEN = re.compile(r"```(?:json)?\s*\{")
@@ -557,6 +584,10 @@ def extract_json_object(text: str) -> dict:
 
 
 def _urllib_transport(url: str, headers: Mapping[str, str], body: bytes) -> str:
+    # Imported here: urllib.request loads http.client, email and ssl.
+    import urllib.error
+    import urllib.request
+
     request = urllib.request.Request(url, data=body, headers=dict(headers))
     try:
         with urllib.request.urlopen(request, timeout=AGENT_TIMEOUT_S) as response:
@@ -592,7 +623,7 @@ class HttpAgent:
         return headers
 
     def _complete(self, prompt: str) -> str:
-        body = (self._head + prompt + self._tail).encode("utf-8")
+        body = "".join((self._head, prompt, self._tail)).encode("utf-8")
         reply = self.config.transport(self.config.endpoint, self._headers(), body)
         try:
             decoded = json.loads(reply)

@@ -151,80 +151,104 @@ EvalOutcome = Union[Value, DomainError]
 # --------------------------------------------------------------------------
 # Tokenizer / parser
 
-# One token per match: whitespace (str.isspace), then an operator, a
-# number or a name.  No group matches at the end of the text or at a
-# character that starts no token.
+# One token per match: whitespace (str.isspace), then a token whose kind is
+# the name of its group: an op, NUMBER, NAME, or END at the end of the
+# text.  No group matches at a character that starts no token.
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\*\*|[-+*/()])"
-    r"|((?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
-    r"|([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*))?"
+    r"\s*(?:(?P<pow>\*\*)|(?P<add>\+)|(?P<sub>-)|(?P<mul>\*)|(?P<div>/)"
+    r"|(?P<open>\()|(?P<close>\))"
+    r"|(?P<NUMBER>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)*)"
+    r"|(?P<END>\Z))?"
 )
-_ADD_OPS = {"+": "add", "-": "sub"}
-_MUL_OPS = {"*": "mul", "/": "div"}
+_ADD_OPS = frozenset({"add", "sub"})
+_MUL_OPS = frozenset({"mul", "div"})
 
 # Bounds both the parser's recursion and the height of the tree it
 # returns, so every recursive tree walk stays far below the interpreter's
 # recursion limit.
 _MAX_DEPTH = 200
+_TOO_TALL = f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}"
 
 
-def _tokenize(text: str) -> Iterator[tuple[str, str, int]]:
-    """Yield (kind, text, byte offset) tokens on demand, then one END token,
-    so a parse that fails early never scans the rest of the text.  An
-    operator's kind is its text; the other kinds are NUMBER and NAME."""
-    match = _TOKEN_RE.match
-    ascii_only = text.isascii()
-    pos = 0
-    # The byte offset of `counted`, advanced over each stretch of text once.
-    byte_off = 0
-    counted = 0
-    while True:
-        m = match(text, pos)
-        group = m.lastindex
-        start = m.start(group) if group else m.end()
-        if ascii_only:
-            byte_off = start
-        else:
-            byte_off += len(text[counted:start].encode("utf-8"))
-            counted = start
-        if group is None:
-            if start == len(text):
-                yield ("END", "", byte_off)
-                return
-            raise ExpressionSyntaxError(
-                f"unexpected character {text[start]!r} at byte {byte_off}",
-                byte_off,
-                ("number", "identifier", "operator", "'('", "')'"),
-            )
-        token = m.group(group)
-        yield (token if group == 1 else "NUMBER" if group == 2 else "NAME", token, byte_off)
-        pos = m.end()
+def _tokenize(text: str) -> Iterator[re.Match]:
+    """The token matches of `text`, each where the last ended, on demand:
+    a parse that fails early never scans the rest of the text."""
+    return _TOKEN_RE.finditer(text)
+
+
+# The parser builds its nodes without the public constructors' checks,
+# which every token has passed already: ops come from fixed tables, a
+# name is an identifier and a number a finite float.  Each returns the
+# node with its tree height, checked against _MAX_DEPTH.
+_new = object.__new__
+
+
+def _leaf(cls, field: str, value) -> tuple[Expression, int]:
+    node = _new(cls)
+    node.__dict__[field] = value
+    return node, 1
+
+
+def _unary(op: str, operand: Expression, height: int) -> tuple[Expression, int]:
+    if height >= _MAX_DEPTH:
+        raise ExpressionSyntaxError(_TOO_TALL, 0, ())
+    node = _new(Unary)
+    fields = node.__dict__
+    fields["op"], fields["operand"] = op, operand
+    return node, height + 1
+
+
+def _binary(op: str, left: Expression, left_height: int,
+            right: Expression, right_height: int) -> tuple[Expression, int]:
+    height = left_height if left_height > right_height else right_height
+    if height >= _MAX_DEPTH:
+        raise ExpressionSyntaxError(_TOO_TALL, 0, ())
+    node = _new(Binary)
+    fields = node.__dict__
+    fields["op"], fields["left"], fields["right"] = op, left, right
+    return node, height + 1
 
 
 class _Parser:
     """Recursive descent over a lazy token stream, holding one token of
-    lookahead in `tok`.
+    lookahead in `tok` and its kind in `kind`.
 
     Each rule returns its node with the node's tree height (a leaf is 1),
     and every node built is checked against _MAX_DEPTH at once: a long
     flat chain such as `a+b+...` is built by a loop, not by recursion, so
     the recursion cap alone would not bound it.  Whatever can fail is
     checked before the next token is read, so the first problem in the
-    text is the one reported.
+    text is the one reported.  END is never consumed: every rule checks
+    the kind first.
     """
 
     def __init__(self, text: str):
+        self.text = text
         self._next = _tokenize(text).__next__
-        self.tok = self._next()
         self.depth = 0
+        self.advance()
 
     def advance(self) -> None:
-        # END is never consumed: every rule checks the kind first.
-        self.tok = self._next()
+        tok = self._next()
+        kind = tok.lastgroup
+        if kind is None:
+            raise self.error(f"unexpected character {self.text[tok.end()]!r}", tok,
+                             ("number", "identifier", "operator", "'('", "')'"))
+        self.tok, self.kind = tok, kind
+
+    def offset(self, tok: re.Match) -> int:
+        # The byte offset of a token or of a character that starts none: errors only.
+        start = tok.start(tok.lastgroup) if tok.lastgroup else tok.end()
+        return len(self.text[:start].encode("utf-8"))
+
+    def error(self, what: str, tok: re.Match, expected: tuple[str, ...] = ()):
+        offset = self.offset(tok)
+        return ExpressionSyntaxError(f"{what} at byte {offset}", offset, expected)
 
     def fail(self, expected: tuple[str, ...]) -> ExpressionSyntaxError:
-        kind, text, offset = self.tok
-        found = "end of input" if kind == "END" else repr(text)
+        offset = self.offset(self.tok)
+        found = "end of input" if self.kind == "END" else repr(self.tok[self.kind])
         return ExpressionSyntaxError(
             f"syntax error at byte {offset}: unexpected {found}, "
             f"expected one of: {', '.join(expected)}",
@@ -232,132 +256,107 @@ class _Parser:
             expected,
         )
 
-    def enter(self, offset: int | None = None) -> None:
+    def enter(self, tok: re.Match | None = None) -> None:
         self.depth += 1
         if self.depth > _MAX_DEPTH:
-            offset = self.tok[2] if offset is None else offset
-            raise ExpressionSyntaxError(
-                f"expression nested too deeply at byte {offset}", offset, ()
-            )
-
-    @staticmethod
-    def _built(node: Expression, height: int) -> tuple[Expression, int]:
-        if height > _MAX_DEPTH:
-            raise ExpressionSyntaxError(
-                f"expression nested too deeply: tree height exceeds {_MAX_DEPTH}", 0, ()
-            )
-        return node, height
+            raise self.error("expression nested too deeply", self.tok if tok is None else tok)
 
     def expression(self) -> tuple[Expression, int]:
         self.enter()
         node, height = self.multiplicative()
-        while (op := _ADD_OPS.get(self.tok[0])) is not None:
+        while (op := self.kind) in _ADD_OPS:
             self.advance()
-            right, right_height = self.multiplicative()
-            node, height = self._built(
-                Binary(op, node, right), 1 + max(height, right_height)
-            )
+            node, height = _binary(op, node, height, *self.multiplicative())
         self.depth -= 1
         return node, height
 
     def multiplicative(self) -> tuple[Expression, int]:
         node, height = self.unary()
-        while (op := _MUL_OPS.get(self.tok[0])) is not None:
+        while (op := self.kind) in _MUL_OPS:
             self.advance()
-            right, right_height = self.unary()
-            node, height = self._built(
-                Binary(op, node, right), 1 + max(height, right_height)
-            )
+            node, height = _binary(op, node, height, *self.unary())
         return node, height
 
     def unary(self) -> tuple[Expression, int]:
-        self.enter()
-        if self.tok[0] != "-":
-            built = self.power(*self.atom())
-        else:
-            self.advance()
-            number = self.tok
-            if number[0] != "NUMBER":
-                operand, height = self.unary()
-            else:
-                self.advance()
-                # A minus directly over a number literal folds into a negative
-                # constant, except when `**` follows: `-3**2` is -(3**2).
-                if self.tok[0] != "**":
-                    self.depth -= 1
-                    return Constant(-self._number(number)), 1
-                self.enter(number[2])  # the power is one level deeper
-                operand, height = self.power(Constant(self._number(number)), 1)
-                self.depth -= 1
-            built = self._built(Unary("neg", operand), height + 1)
-        self.depth -= 1
-        return built
-
-    def power(self, base: Expression, height: int) -> tuple[Expression, int]:
-        if self.tok[0] != "**":
-            return base, height
-        self.advance()
-        exponent, exponent_height = self.unary()
-        return self._built(
-            Binary("pow", base, exponent), 1 + max(height, exponent_height)
-        )
-
-    def atom(self) -> tuple[Expression, int]:
-        tok = self.tok
-        kind = tok[0]
+        # unary: '-' unary | atom ['**' unary], where a minus directly over a
+        # number folds into a negative constant unless `**` follows: -3**2 is -(3**2).
+        tok, kind = self.tok, self.kind
+        self.depth = depth = self.depth + 1
+        if depth > _MAX_DEPTH:
+            raise self.error("expression nested too deeply", tok)
         if kind == "NUMBER":
-            node = Constant(self._number(tok))
+            built = _leaf(Constant, "value", self._number(tok))
             self.advance()
-            return node, 1
-        if kind == "NAME":
+        elif kind == "NAME":
             self.advance()
-            return self._name(tok)
-        if kind == "(":
+            built = self._name(tok)
+        elif kind == "open":
             self.advance()
             self.enter()
             built = self.expression()
             self.depth -= 1
-            if self.tok[0] != ")":
+            if self.kind != "close":
                 raise self.fail(("')'",))
             self.advance()
+        elif kind != "sub":
+            raise self.fail(("number", "identifier", "'('", "'-'"))
+        else:
+            self.advance()
+            number = self.tok
+            if self.kind != "NUMBER":
+                built = _unary("neg", *self.unary())
+            else:
+                self.advance()
+                if self.kind != "pow":
+                    self.depth -= 1
+                    return _leaf(Constant, "value", -self._number(number))
+                self.enter(number)  # the power is one level deeper
+                constant = _leaf(Constant, "value", self._number(number))
+                built = _unary("neg", *self.power(*constant))
+                self.depth -= 1
+            self.depth -= 1
             return built
-        raise self.fail(("number", "identifier", "'('", "'-'"))
+        if self.kind == "pow":
+            built = self.power(*built)
+        self.depth -= 1
+        return built
 
-    @staticmethod
-    def _number(tok: tuple[str, str, int]) -> float:
-        v = float(tok[1])
+    def power(self, base: Expression, height: int) -> tuple[Expression, int]:
+        self.advance()  # consume '**'
+        return _binary("pow", base, height, *self.unary())
+
+    def _number(self, tok: re.Match) -> float:
+        v = float(tok["NUMBER"])
         if not math.isfinite(v):
-            raise ExpressionSyntaxError(
-                f"number literal out of range at byte {tok[2]}", tok[2], ()
-            )
+            raise self.error("number literal out of range", tok)
         return v
 
-    def _name(self, tok: tuple[str, str, int]) -> tuple[Expression, int]:
-        _, name, offset = tok
-        calls = self.tok[0] == "("
+    def _name(self, tok: re.Match) -> tuple[Expression, int]:
+        name = tok["NAME"]
+        calls = self.kind == "open"
         if name == "np.pi":
             if calls:
-                raise UnknownFunctionError(name, offset)
-            return NamedConstant("pi"), 1
+                raise UnknownFunctionError(name, self.offset(tok))
+            return _leaf(NamedConstant, "name", "pi")
         if "." in name:
             prefix, _, fn = name.partition(".")
             if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
-                raise UnknownFunctionError(name, offset)
+                raise UnknownFunctionError(name, self.offset(tok))
             return self._call(fn)
         if calls:
             if name not in _FUNCTION_OPS:
-                raise UnknownFunctionError(name, offset)
+                raise UnknownFunctionError(name, self.offset(tok))
             return self._call(name)
-        return Variable(name), 1
+        return _leaf(Variable, "name", name)
 
     def _call(self, fn: str) -> tuple[Expression, int]:
         self.advance()  # consume '('
         self.enter()
         arg, height = self.expression()
         self.depth -= 1
-        if self.tok[0] != ")":
+        if self.kind != "close":
             raise self.fail(("')'",))
-        built = self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
+        built = _unary(_FUNCTION_OPS[fn], arg, height)
         self.advance()
         return built
 
@@ -371,7 +370,7 @@ def parse(text: str) -> Expression:
     """
     parser = _Parser(text)
     node, _ = parser.expression()
-    if parser.tok[0] != "END":
+    if parser.kind != "END":
         raise parser.fail(("operator", "end of input"))
     return node
 

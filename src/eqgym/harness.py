@@ -540,14 +540,19 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
             raise ValueError(f"{log}:{number}: not a JSON object")
         kind = document.get("kind")
         if kind == "transcript":
-            missing = [k for k in ("env_id", "agent", "level") if k not in document]
+            # The report reads each of these fields without a default.
+            missing = [k for k in ("env_id", "agent", "level", "experiments_used",
+                                   "tests_used", "turn_count") if k not in document]
             if missing:
                 raise ValueError(f"{log}:{number}: transcript lacks {', '.join(missing)}")
             transcripts.append(document)
         elif kind == "environment":
             if "spec" not in document:
                 raise ValueError(f"{log}:{number}: environment lacks spec")
-            environments.append(load_spec(document["spec"]))
+            try:
+                environments.append(load_spec(document["spec"]))
+            except ValueError as err:
+                raise ValueError(f"{log}:{number}: {err}") from None
     if not transcripts:
         raise EmptyRun(f"{log} holds no session transcripts")
     return transcripts, environments

@@ -985,6 +985,83 @@ def test_packet_encoder_re_encodes_entries_it_did_not_send():
             assert quoted.encode(sent) == json.dumps(text)[1:-1]
 
 
+def test_packet_encoder_reuses_header_text_only_while_it_is_the_same_in_order():
+    # The encoder keeps the text of the three problem-statement members;
+    # each packet below must still be encoded as json.dumps would.
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session.submit_turn(AgentTurn([{"F": 1.0 + i, "k": 2.0} for i in range(3)], False, ""))
+    packet = session.observation_packet()
+    controllable = packet.controllable_variables
+    (observable,) = packet.observable_variable
+    history = packet.historical_experiments
+    variants = [
+        packet,
+        # The same items in a new order: equal dicts, different JSON.
+        replace(packet, controllable_variables=dict(reversed(controllable.items()))),
+        packet,
+        replace(packet, problem_description=packet.problem_description + " Again."),
+        packet,
+        replace(packet, historical_experiments=[history[0], dict(history[1]), history[2]]),
+        replace(packet, historical_experiments=[history[0], {**history[1], "F": 9.0},
+                                                history[2]]),
+        packet,
+        # Equal values of different types: 1 == 1.0 == True.
+        replace(packet, observable_variable={observable: 1}),
+        replace(packet, observable_variable={observable: 1.0}),
+        replace(packet, observable_variable={observable: True}),
+        replace(packet, problem_description=1.0),
+        replace(packet, problem_description=1),
+        packet,
+    ]
+    for indent in (None, 2):
+        encoder = agents.PacketEncoder(indent)
+        quoted = agents.PacketEncoder(indent, quoted=True)
+        for sent in variants:
+            text = encoder.encode(sent)
+            assert text == json.dumps(sent.to_wire(), indent=indent)
+            assert quoted.encode(sent) == json.dumps(text)[1:-1]
+
+
+def test_build_prompt_escapes_each_template_it_is_given():
+    session = new_session(ENVS["hooke"], "L1", seed=5)
+    packet = session.observation_packet()
+    plain = agents.PacketEncoder(indent=2)
+    quoted = agents.PacketEncoder(indent=2, quoted=True)
+    for template, notice in [("T1 \"円\"", None), ("T2\n", "retry"), ("T1 \"円\"", "retry"),
+                             (load_prompt(), None), ("T2\n", None)]:
+        want = reference_prompt(template, packet, notice)
+        assert build_prompt(template, packet, notice, plain) == want
+        assert build_prompt(template, packet, notice, quoted) == json.dumps(want)[1:-1]
+
+
+@pytest.mark.parametrize("kind", ["subprocess", "http"])
+def test_header_members_and_template_are_encoded_once_per_agent(tmp_path, monkeypatch,
+                                                                 kind):
+    encoded = []
+    dumps = json.dumps
+
+    def counting(obj, *args, **kwargs):
+        encoded.append(obj)
+        return dumps(obj, *args, **kwargs)
+
+    session = new_session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
+    agent = policy_agent(kind, tmp_path)
+    monkeypatch.setattr(json, "dumps", counting)
+    try:
+        while session.status == ACTIVE and session.turn_index < 40:
+            session.submit_turn(agent.act(session.observation_packet()))
+    finally:
+        agent.close()
+    monkeypatch.undo()
+    assert session.turn_index > 10
+    packet = session.observation_packet()
+    for value in (packet.problem_description, packet.controllable_variables,
+                  packet.observable_variable):
+        assert sum(type(obj) is type(value) and obj == value for obj in encoded) == 1
+    escaped = sum(isinstance(obj, str) and load_prompt() in obj for obj in encoded)
+    assert escaped == (1 if kind == "http" else 0)
+
+
 def encoder_calls(monkeypatch):
     """Spy on json.dumps: the keyword arguments of every call."""
     calls, dumps = [], json.dumps

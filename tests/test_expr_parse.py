@@ -1,3 +1,4 @@
+import math
 import random
 import time
 
@@ -276,3 +277,38 @@ def test_parse_matches_the_reference_parser():
             "UnknownFunctionError:unknown function 'foo'",
             "ExpressionSyntaxError:number literal out of range",
             "ExpressionSyntaxError:expression nested too deeply"} <= errors, errors
+
+
+def _preorder(expr):
+    nodes, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        if isinstance(node, Unary):
+            stack.append(node.operand)
+        elif isinstance(node, Binary):
+            stack += (node.right, node.left)
+    return nodes
+
+
+def test_parsed_nodes_match_the_public_constructors():
+    # The parser builds its nodes without the constructors' checks; no
+    # caller may see a difference from the checked nodes that the
+    # reference parser builds.
+    rng = random.Random(515)
+    for i in range(400):
+        text = render(random_expression(rng, ("x", "y", "F_1"), depth=5, tame=i % 2 == 0))
+        pairs = zip(_preorder(parse(text)), _preorder(reference_parse(text)), strict=True)
+        for parsed, checked in pairs:
+            assert type(parsed) is type(checked)
+            assert parsed == checked
+            assert hash(parsed) == hash(checked)
+            assert repr(parsed) == repr(checked)
+            assert vars(parsed) == vars(checked)
+    # The public constructors still check their fields.
+    with pytest.raises(ValueError):
+        Constant(math.inf)
+    with pytest.raises(ValueError):
+        Variable("1x")
+    with pytest.raises(ValueError):
+        Unary("bogus", Constant(1.0))

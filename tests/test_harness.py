@@ -821,13 +821,25 @@ def test_load_run_rejects_a_malformed_line_that_was_written_whole(tmp_path):
 
 
 HOOKE_TRANSCRIPT = {"kind": "transcript", "env_id": "hooke", "agent": "power_law",
-                    "level": "L1", "solved": True}
+                    "level": "L1", "solved": True, "experiments_used": 3, "tests_used": 1,
+                    "turn_count": 2}
+HOOKE_SPEC = spec_to_dict(ENVS["hooke"])
 MALFORMED_LOG_LINES = {
     "not-an-object": ([1, 2], "not a JSON object"),
     "environment-without-spec": ({"kind": "environment"}, "environment lacks spec"),
+    # The report reads every count of a solved transcript.
     **{f"transcript-without-{key}": (
         {k: v for k, v in HOOKE_TRANSCRIPT.items() if k != key}, f"transcript lacks {key}")
-       for key in ("env_id", "agent", "level")},
+       for key in ("env_id", "agent", "level", "experiments_used", "tests_used",
+                   "turn_count")},
+    "environment-without-context": (
+        {"kind": "environment",
+         "spec": {k: v for k, v in HOOKE_SPEC.items() if k != "context"}},
+        "environment 'hooke': missing field 'context'"),
+    "environment-with-a-bad-equation": (
+        {"kind": "environment", "spec": {**HOOKE_SPEC, "equation": "F k"}},
+        "environment 'hooke': bad equation: syntax error at byte 2: unexpected 'k', "
+        "expected one of: operator, end of input"),
 }
 
 
@@ -968,3 +980,21 @@ def test_import_eqgym_leaves_scipy_stats_unloaded():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0.8"
+
+
+def test_import_eqgym_leaves_the_http_client_unloaded():
+    # Only the default HTTP transport needs urllib.request, which loads
+    # http.client, email and ssl; it imports them when it is first called.
+    proc = run_python("-c", (
+        "import sys\n"
+        "import eqgym\n"
+        "heavy = ('urllib.request', 'urllib.error', 'http.client', 'email', 'ssl')\n"
+        "print(sorted(name for name in heavy if name in sys.modules))\n"
+        "try:\n"
+        "    eqgym.agents._urllib_transport('http://127.0.0.1:0/', {}, b'{}')\n"
+        "except eqgym.agents.TransportError as err:\n"
+        "    print(str(err).startswith('agent endpoint unreachable: '))\n"
+        "print('urllib.request' in sys.modules)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "True", "True", ""]
