@@ -382,7 +382,7 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
 
     The assignment must bind exactly the controllable variables, in
     `env`'s names (`env.anonymous` takes var_1 ...).  Out-of-domain values and validity violations come back as
-    DomainError with the offending variable/constraint in `subject`;
+    DomainError whose detail names the offending variable/constraint;
     otherwise the equation's own outcome is returned.
     """
     expected, checks = env.check_plan
@@ -396,9 +396,7 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
         value = assignment[name]
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return DomainError(
-                    "out-of-domain", f"{name} must be a number", subject=name
-                )
+                return DomainError("out-of-domain", f"{name} must be a number")
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
@@ -409,15 +407,10 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
             return DomainError(
                 "out-of-domain",
                 f"{name} = {value!r} outside its admissible range",
-                subject=name,
             )
     for constraint in env.validity:
         if not constraint.holds(inputs):
-            return DomainError(
-                "validity",
-                f"constraint {constraint.text} violated",
-                subject=constraint.text,
-            )
+            return DomainError("validity", f"constraint {constraint.text} violated")
     return evaluate(env.equation, inputs)
 
 

@@ -5,8 +5,9 @@ The surface syntax is a small Python-expression subset (`F / k`,
 `2*np.pi*np.sqrt(l/g)`); `np.pi` is the only named constant and `np.`
 is the only namespace prefix a function may carry.
 
-`evaluate` compiles each formula once into nested closures and caches
-them, and matches a plain recursive walk over the tree bit for bit.
+`evaluate` compiles each formula once into one generated Python function,
+whose source holds no text from the formula, caches it, and matches a
+plain recursive walk over the tree bit for bit.
 """
 
 from __future__ import annotations
@@ -136,13 +137,11 @@ class DomainError:
     """A point where the expression is undefined (or a rejected experiment).
 
     `reason` is a stable tag; `detail` is human-readable and names
-    variables as the evaluated tree does; `subject` names the variable or
-    constraint involved, when there is one.
+    variables and constraints as the evaluated tree does.
     """
 
     reason: str
     detail: str = ""
-    subject: str = ""
 
 
 EvalOutcome = Union[Value, DomainError]
@@ -452,11 +451,10 @@ def _renamed(expr: Expression, mapping: Mapping[str, str]) -> Expression:
 # Evaluation
 
 class _DomainSignal(Exception):
-    def __init__(self, reason: str, detail: str = "", subject: str = ""):
+    def __init__(self, reason: str, detail: str = ""):
         super().__init__(reason)
         self.reason = reason
         self.detail = detail
-        self.subject = subject
 
 
 def _checked(v: float, context: str) -> float:
@@ -513,65 +511,93 @@ def _apply_binary(op: str, a: float, b: float) -> float:
         raise _DomainSignal("overflow", f"{a!r} ** {b!r}") from None
 
 
+def _unreadable(bindings, names) -> None:
+    """Raise the _DomainSignal of the first of `names` whose binding float()
+    cannot read, if any."""
+    for name in names:
+        try:
+            float(bindings[name])
+        except KeyError:
+            raise _DomainSignal("unbound-variable", f"no value for {name!r}") from None
+        except OverflowError:  # an int beyond float range
+            raise _DomainSignal("overflow", name) from None
+        except (TypeError, ValueError):  # a binding float() cannot take
+            raise _DomainSignal("not-a-number", f"value for {name!r} is not a number") from None
+
+
+# Each op's code over its operands {0} and {1}.  The domain rule's helper
+# call, {rule}, runs only where `/` or math's own function {fn} could fail;
+# ops not listed always call it.
+_OP_CODE = {
+    "neg": "-{0}", "abs": "abs({0})", "add": "{0} + {1}", "sub": "{0} - {1}",
+    "mul": "{0} * {1}", "div": "{0} / {1} if {1} else {rule}",
+    "sqrt": "{fn}({0}) if {0} >= 0 else {rule}", "log": "{fn}({0}) if {0} > 0 else {rule}",
+    "asin": "{fn}({0}) if -1.0 <= {0} <= 1.0 else {rule}",
+    "acos": "{fn}({0}) if -1.0 <= {0} <= 1.0 else {rule}",
+    **dict.fromkeys(("sin", "cos", "tan", "atan", "tanh"), "{fn}({0})"),
+}
+_HELPERS = {"_checked": _checked, "_apply_unary": _apply_unary,
+            "_apply_binary": _apply_binary, "_unreadable": _unreadable}
+
+
 def _compile(expr: Expression):
-    """The tree as nested closures, each taking the bindings and returning
-    the node's float or raising _DomainSignal.  Operands run left to
-    right; every result passes the _checked test (`-HUGE <= r <= HUGE`
-    is false for NaN and infinity too)."""
-    if isinstance(expr, Constant):
-        value = expr.value
-        if -HUGE <= value <= HUGE:
-            return lambda b: value
-        return lambda b: _checked(value, "constant")
-    if isinstance(expr, NamedConstant):
-        return lambda b: math.pi
-    if isinstance(expr, Variable):
-        name = expr.name
+    """The tree as one generated function of the bindings, returning the
+    tree's float or raising _DomainSignal.  Its statements compute the
+    nodes in the walk's order, left operand first, each into a new
+    temporary that must pass the _checked test (`-HUGE <= r <= HUGE` is
+    false for NaN and infinity too); neg and abs keep a checked operand in
+    range.  A variable is read where the walk first reaches it; should a
+    read fail, _unreadable reads them all again in that order to name the
+    binding.  Names, constants and ops are bound as the function's globals
+    g<n>, so the source holds no text from the formula."""
+    namespace = dict(_HELPERS)
+    lines: list[str] = []
+    reads: dict[str, str] = {}  # variable name -> its temporary
 
-        def variable(b):
-            try:
-                v = float(b[name])
-            except KeyError:
-                raise _DomainSignal("unbound-variable", f"no value for {name!r}", name) from None
-            except OverflowError:  # an int beyond float range
-                raise _DomainSignal("overflow", name) from None
-            except (TypeError, ValueError):  # a binding float() cannot take
-                raise _DomainSignal("not-a-number", f"value for {name!r} is not a number", name) from None
-            return v if -HUGE <= v <= HUGE else _checked(v, name)
-        return variable
-    if isinstance(expr, Unary):
-        op, x = expr.op, _compile(expr.operand)
-        # neg and abs keep a checked operand in range.
-        if op == "neg":
-            return lambda b: -x(b)
-        if op == "abs":
-            return lambda b: abs(x(b))
+    def bind(value) -> str:
+        name = f"g{len(namespace)}"
+        namespace[name] = value
+        return name
 
-        def unary(b):
-            r = _apply_unary(op, x(b))
-            return r if -HUGE <= r <= HUGE else _checked(r, op)
-        return unary
-    op, left, right = expr.op, _compile(expr.left), _compile(expr.right)
-    if op == "add":
-        def binary(b):
-            r = left(b) + right(b)
-            return r if -HUGE <= r <= HUGE else _checked(r, op)
-    elif op == "sub":
-        def binary(b):
-            r = left(b) - right(b)
-            return r if -HUGE <= r <= HUGE else _checked(r, op)
-    elif op == "mul":
-        def binary(b):
-            r = left(b) * right(b)
-            return r if -HUGE <= r <= HUGE else _checked(r, op)
-    else:
-        def binary(b):
-            r = _apply_binary(op, left(b), right(b))
-            return r if -HUGE <= r <= HUGE else _checked(r, op)
-    return binary
+    def assign(code: str) -> str:
+        t = f"t{len(lines)}"
+        lines.append(f"{t} = {code}")
+        return t
+
+    def checked(code: str, context: str) -> str:
+        t = assign(code)
+        lines.append(f"if not {-HUGE!r} <= {t} <= {HUGE!r}: _checked({t}, {context})")
+        return t
+
+    def node(e) -> str:
+        if isinstance(e, Variable):
+            if e.name not in reads:
+                name = bind(e.name)
+                reads[e.name] = checked(f"float(b[{name}])", name)
+            return reads[e.name]
+        if isinstance(e, (Constant, NamedConstant)):
+            value = math.pi if isinstance(e, NamedConstant) else e.value
+            name = bind(value)
+            if not -HUGE <= value <= HUGE:
+                lines.append(f"_checked({name}, 'constant')")
+            return name
+        operands = (e.operand,) if isinstance(e, Unary) else (e.left, e.right)
+        args = [node(o) for o in operands]
+        op, code = bind(e.op), _OP_CODE.get(e.op, "{rule}")
+        helper = "_apply_unary" if len(args) == 1 else "_apply_binary"
+        code = code.format(*args, rule=f"{helper}({op}, {', '.join(args)})",
+                           fn=bind(getattr(math, e.op)) if "{fn}" in code else "")
+        # A checked operand keeps neg and abs in range.
+        return assign(code) if e.op in ("neg", "abs") else checked(code, op)
+
+    result = node(expr)
+    body = "\n  ".join(lines + [f"return {result}"])
+    exec(f"def f(b):\n try:\n  {body}\n except (KeyError, OverflowError, TypeError, ValueError):\n"
+         f"  _unreadable(b, {bind(tuple(reads))})\n  raise\n", namespace)
+    return namespace["f"]
 
 
-# id(tree) -> (tree, closures).  Holding the tree keeps its id from being
+# id(tree) -> (tree, function).  Holding the tree keeps its id from being
 # reused while the entry lives; keying on the tree itself would hash it,
 # which costs as much as a walk.  Threads that race on it can at worst
 # compile one tree twice.
@@ -582,8 +608,9 @@ _COMPILED_MAX = 256
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
     """Evaluate at a point.  Returns Value or DomainError; never raises.
 
-    The tree is compiled into closures on its first evaluation and the
-    closures are cached by the tree's identity, so repeated evaluations of
+    The tree is compiled on its first evaluation into one generated Python
+    function, whose source holds no text from the formula, and the
+    function is cached by the tree's identity, so repeated evaluations of
     one law cost little more than its arithmetic."""
     entry = _COMPILED.get(id(expr))
     if entry is None:
@@ -593,7 +620,7 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
     try:
         return Value(entry[1](bindings))
     except _DomainSignal as sig:
-        return DomainError(sig.reason, sig.detail, sig.subject)
+        return DomainError(sig.reason, sig.detail)
 
 
 # --------------------------------------------------------------------------
@@ -965,14 +992,19 @@ def evaluate_columns(
     evaluate's own scalar rules.  numpy computes only the correctly
     rounded ops (neg, abs, sqrt, + - * /); every other function is the
     scalar path's own, mapped over the column, because numpy's vector
-    kernels differ from libm in the last bits.  A mask is built only
-    where some point fails.
+    kernels differ from libm in the last bits.  Every node's column is
+    tested against HUGE once, at the end, so a point that overflows at an
+    inner node reaches the outer ones unmasked (`_map_math` maps a libm
+    failure to inf).  A mask is built only where some point fails.
     """
+    nodes: list[np.ndarray] = []
     with np.errstate(all="ignore"):
         try:
-            values, valid = _eval_columns(expr, columns, n)
+            values, valid = _eval_columns(expr, columns, n, nodes)
         except _DomainSignal:  # a constant subtree is undefined everywhere
             return np.zeros(n), np.zeros(n, dtype=bool)
+        if nodes:  # _checked: NaN and infinity fail the comparison too
+            valid = _restrict(valid, (np.abs(np.array(nodes)) <= HUGE).all(axis=0))
     if type(values) is float:
         values = np.full(n, values)
     return values, np.ones(n, dtype=bool) if valid is None else valid
@@ -989,9 +1021,10 @@ def _safe(x, valid):
     return x if valid is None else np.where(valid, x, _SAFE_INPUT)
 
 
-def _eval_columns(expr, columns, n):
+def _eval_columns(expr, columns, n, nodes):
     # (values, valid): a float and None for a subtree without variables,
-    # else an array and a mask (None if every point is valid).
+    # else an array and a mask (None if every point is valid), which is
+    # also appended to nodes for evaluate_columns' HUGE test.
     if isinstance(expr, Constant):
         return _checked(expr.value, "constant"), None
     if isinstance(expr, NamedConstant):
@@ -999,7 +1032,7 @@ def _eval_columns(expr, columns, n):
     if isinstance(expr, Variable):
         values, valid = columns[expr.name], None
     elif isinstance(expr, Unary):
-        x, valid = _eval_columns(expr.operand, columns, n)
+        x, valid = _eval_columns(expr.operand, columns, n, nodes)
         op = expr.op
         if type(x) is float:
             return _checked(_apply_unary(op, x), op), None
@@ -1017,8 +1050,8 @@ def _eval_columns(expr, columns, n):
                 valid = _restrict(valid, (x >= -1.0) & (x <= 1.0))
             values = _map_math(getattr(math, op), n, _safe(x, valid))
     else:
-        a, valid = _eval_columns(expr.left, columns, n)
-        b, valid_b = _eval_columns(expr.right, columns, n)
+        a, valid = _eval_columns(expr.left, columns, n, nodes)
+        b, valid_b = _eval_columns(expr.right, columns, n, nodes)
         op = expr.op
         if type(a) is float and type(b) is float:
             return _checked(_apply_binary(op, a, b), op), None
@@ -1048,10 +1081,7 @@ def _eval_columns(expr, columns, n):
             # Same rules as _apply_binary, then Python's own float `**`.
             valid = _restrict(valid, ~(((a < 0) & (np.floor(b) != b)) | ((a == 0) & (b < 0))))
             values = _map_math(operator.pow, n, _safe(a, valid), _safe(b, valid))
-    # _checked: NaN and infinity fail the comparison too.
-    magnitudes = np.abs(values)
-    if not np.maximum.reduce(magnitudes) <= HUGE:
-        valid = _restrict(valid, magnitudes <= HUGE)
+    nodes.append(values)
     return values, valid
 
 

@@ -439,6 +439,11 @@ def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
             )
 
 
+# json.dumps's own encoder without its cycle bookkeeping: no logged
+# document contains itself.
+_LOG_ENCODER = json.JSONEncoder(check_circular=False)
+
+
 def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
     """Execute every cell of the plan.
 
@@ -461,7 +466,7 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
 
     def emit(document: dict) -> None:
         if sink is not None:
-            sink.write(json.dumps(document) + "\n")
+            sink.write(_LOG_ENCODER.encode(document) + "\n")
             sink.flush()
 
     digest, version = plan_hash(plan), _version()

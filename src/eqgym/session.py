@@ -9,6 +9,7 @@ names, through a translation the session owns and never serializes.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -142,6 +143,16 @@ class TurnOutcome:
     turn_index: int
 
 
+def _value_problem(name: str, value) -> str | None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"value for {name} must be a number"
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    return None if finite else f"value for {name} must be a finite number"
+
+
 class Session:
     """Mutable state machine for one agent/environment episode; `mask` may
     be a PriorMask or a level label."""
@@ -232,12 +243,19 @@ class Session:
                     f"{dropped} experiment proposal(s) dropped: experiment quota exhausted"
                 )
                 break
-            problem = self._proposal_problem(proposal)
-            if problem is not None:
+            entry = self._entry(proposal)
+            if type(entry) is str:
                 malformed += 1
-                notices.append(f"experiment proposal skipped: {problem}")
+                notices.append(f"experiment proposal skipped: {entry}")
                 continue
-            executed.append(self._run_one(proposal))
+            outcome = run_experiment(self.shown_env, entry)
+            self.experiments_remaining -= 1
+            if isinstance(outcome, Value):
+                entry[self.shown_env.output.name] = outcome.value
+            else:
+                entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
+            self._history.append(entry)
+            executed.append(entry)
 
         formula = (getattr(turn, "current_hypothesis_formula", "") or "").strip()
         hypothesis: HypothesisRecord | None = None
@@ -277,7 +295,9 @@ class Session:
         self.turn_index += 1
         return outcome
 
-    def _proposal_problem(self, proposal) -> str | None:
+    def _entry(self, proposal) -> dict | str:
+        """The proposal's history entry, its values as floats in the
+        controllables' order, or why the proposal is malformed."""
         if type(proposal) is not dict and not isinstance(proposal, Mapping):
             return "proposal must be an object of variable assignments"
         expected = self._to_true.keys()
@@ -290,30 +310,15 @@ class Session:
             if extra:
                 parts.append(f"unknown {extra}")
             return "bad variable set: " + ", ".join(parts)
-        for name, value in proposal.items():
-            if type(value) is float and value - value == 0.0:  # finite
-                continue
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return f"value for {name} must be a number"
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond float range
-                finite = False
-            if not finite:
-                return f"value for {name} must be a finite number"
-        return None
-
-    def _run_one(self, proposal: Mapping[str, float]) -> dict:
         entry = {}
-        for name in self._to_true:
-            entry[name] = float(proposal[name])
-        outcome = run_experiment(self.shown_env, entry)
-        self.experiments_remaining -= 1
-        if isinstance(outcome, Value):
-            entry[self.shown_env.output.name] = outcome.value
-        else:
-            entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
-        self._history.append(entry)
+        for name in expected:
+            value = proposal[name]
+            if type(value) is not float or value - value != 0.0:  # not a finite float
+                if _value_problem(name, value) is not None:
+                    # Name the first bad value in the proposal's own order.
+                    return next(filter(None, itertools.starmap(_value_problem, proposal.items())))
+                value = float(value)
+            entry[name] = value
         return entry
 
     def _record_hypothesis(self, formula: str) -> HypothesisRecord:

@@ -56,7 +56,7 @@ def transform_at(expr: Expression, index: int, fn) -> Expression:
 
 # -- the reference evaluator ---------------------------------------------------
 # The recursive tree walk that `evaluate` compiled away, kept as its
-# brute-force twin: the compiled closures must match it bit for bit.
+# brute-force twin: the generated functions must match it bit for bit.
 
 def _walk(expr: Expression, bindings) -> float:
     if isinstance(expr, Constant):
@@ -67,9 +67,7 @@ def _walk(expr: Expression, bindings) -> float:
         try:
             v = bindings[expr.name]
         except KeyError:
-            raise _DomainSignal(
-                "unbound-variable", f"no value for {expr.name!r}", expr.name
-            ) from None
+            raise _DomainSignal("unbound-variable", f"no value for {expr.name!r}") from None
         return _checked(float(v), expr.name)
     if isinstance(expr, Unary):
         x = _walk(expr.operand, bindings)
@@ -84,7 +82,7 @@ def walk_evaluate(expr: Expression, bindings):
     try:
         return Value(_walk(expr, bindings))
     except _DomainSignal as sig:
-        return DomainError(sig.reason, sig.detail, sig.subject)
+        return DomainError(sig.reason, sig.detail)
 
 
 # -- the reference parser -----------------------------------------------------
@@ -497,9 +495,7 @@ def reference_run_experiment(env, assignment: Mapping[str, float]):
         value = assignment[v.name]
         if type(value) is not float:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return DomainError(
-                    "out-of-domain", f"{v.name} must be a number", subject=v.name
-                )
+                return DomainError("out-of-domain", f"{v.name} must be a number")
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
@@ -508,16 +504,11 @@ def reference_run_experiment(env, assignment: Mapping[str, float]):
             return DomainError(
                 "out-of-domain",
                 f"{v.name} = {value!r} outside its admissible range",
-                subject=v.name,
             )
         inputs_only[v.name] = value
     for constraint in env.validity:
         if not constraint.holds(inputs_only):
-            return DomainError(
-                "validity",
-                f"constraint {constraint.text} violated",
-                subject=constraint.text,
-            )
+            return DomainError("validity", f"constraint {constraint.text} violated")
     return evaluate(env.equation, inputs_only)
 
 

@@ -158,10 +158,10 @@ def test_out_of_domain_names_variable():
     out = run_experiment(env, {"m": 1.0, "h": -3.0})
     assert isinstance(out, DomainError)
     assert out.reason == "out-of-domain"
-    assert out.subject == "h"
+    assert out.detail == "h = -3.0 outside its admissible range"
     out = run_experiment(env, {"m": float("nan"), "h": 1.0})
     assert isinstance(out, DomainError)
-    assert out.subject == "m"
+    assert out.detail == "m = nan outside its admissible range"
 
 
 def test_validity_violation_names_constraint():
@@ -169,7 +169,7 @@ def test_validity_violation_names_constraint():
     out = run_experiment(env, {"m": 5.0, "h": 2.0})
     assert isinstance(out, DomainError)
     assert out.reason == "validity"
-    assert out.subject == "m < h"
+    assert out.detail == "constraint m < h violated"
 
 
 def test_open_bounds_respected():
@@ -181,7 +181,7 @@ def test_open_bounds_respected():
     ])
     out = run_experiment(env, {"m": 0.0, "h": 1.0})
     assert isinstance(out, DomainError)
-    assert out.subject == "m"
+    assert out.detail == "m = 0.0 outside its admissible range"
 
 
 def test_disk_field_examples():
@@ -191,7 +191,7 @@ def test_disk_field_examples():
     bad = run_experiment(env, {"epsilon_0": 1.0, "E_0": 1.0, "a": 1.0, "r": 2.0})
     assert isinstance(bad, DomainError)
     assert bad.reason == "validity"
-    assert "a" in bad.subject and "r" in bad.subject
+    assert bad.detail == "constraint r < a violated"
 
 
 def test_mirror_zero_energy_example():
@@ -326,7 +326,6 @@ def test_int_beyond_float_range_is_out_of_domain(big):
     out = run_experiment(hooke, {"F": big, "k": 1.0})
     assert isinstance(out, DomainError)
     assert out.reason == "out-of-domain"
-    assert out.subject == "F"
     shown = "inf" if big > 0 else "-inf"
     assert out.detail == f"F = {shown} outside its admissible range"
 
@@ -336,9 +335,9 @@ def test_int_beyond_float_range_is_out_of_domain(big):
 def test_value_that_is_not_an_int_or_float_is_out_of_domain(value):
     hooke = next(e for e in bundled_environments() if e.env_id == "hooke")
     out = run_experiment(hooke, {"F": value, "k": 1.0})
-    assert out == DomainError("out-of-domain", "F must be a number", "F")
+    assert out == DomainError("out-of-domain", "F must be a number")
     out = run_experiment(hooke, {"F": 2.0, "k": value})
-    assert out == DomainError("out-of-domain", "k must be a number", "k")
+    assert out == DomainError("out-of-domain", "k must be a number")
 
 
 def test_ints_and_float_subclasses_still_run():

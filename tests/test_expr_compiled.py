@@ -1,5 +1,6 @@
-"""Brute-force twins: `evaluate` compiles each tree into closures and must
-match the plain recursive walk (`gen.walk_evaluate`) bit for bit."""
+"""Brute-force twins: `evaluate` compiles each tree into one generated
+function and must match the plain recursive walk (`gen.walk_evaluate`)
+bit for bit."""
 
 import math
 import pickle
@@ -11,7 +12,9 @@ import pytest
 import gen
 from eqgym import environment, expr
 from eqgym.environment import bundled_environments, run_experiment
-from eqgym.expr import DomainError, Value, evaluate, parse, sample_assignments
+from eqgym.expr import (
+    Binary, Constant, DomainError, Unary, Value, Variable, evaluate, parse, sample_assignments,
+)
 
 ENVS = {env.env_id: env for env in bundled_environments()}
 
@@ -78,6 +81,62 @@ def test_evaluate_keeps_signed_zeros_and_operand_order():
         tree, {"x": -1.0, "y": 1.0}
     )
     assert evaluate(tree, {"x": -1.0, "y": 1.0}).reason == "log-nonpositive"
+
+
+# The generated code's own names, and builtins it calls.
+CODE_NAMES = ("b", "t0", "float", "math", "HUGE", "__import__", "_checked")
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_variables_named_like_the_generated_code(name):
+    tree = parse(f"np.sqrt({name}) * {name} + 2 / {name} - np.log({name})**2")
+    for value in (4.0, 1.0, -1.0, 0.0, -0.0, 1e200, 1e301, math.inf, math.nan):
+        point = {name: value}
+        assert same_outcome(evaluate(tree, point), gen.walk_evaluate(tree, point)), point
+    assert evaluate(tree, {}) == DomainError("unbound-variable", f"no value for {name!r}")
+    assert evaluate(tree, {"y": 1.0}) == gen.walk_evaluate(tree, {"y": 1.0})
+
+
+def test_formula_over_every_name_of_the_generated_code():
+    tree = parse(" + ".join(f"{i + 1}*{name}" for i, name in enumerate(CODE_NAMES))
+                 + " - b*t0/float**math")
+    rng = random.Random(5)
+    for _ in range(200):
+        point = {name: rng.choice((rng.uniform(-3, 3), rng.choice(EDGE_VALUES)))
+                 for name in CODE_NAMES}
+        assert same_outcome(evaluate(tree, point), gen.walk_evaluate(tree, point)), point
+    assert evaluate(tree, {}) == gen.walk_evaluate(tree, {}) == DomainError(
+        "unbound-variable", "no value for 'b'")
+    point = dict.fromkeys(CODE_NAMES, 2.0)
+    assert evaluate(tree, point) == Value(2.0 * 28 - 2.0 * 2.0 / 2.0**2.0)
+
+
+@pytest.mark.parametrize("value", [1e301, -0.0, 5e-324])
+def test_constants_past_huge_signed_zero_and_subnormal(value):
+    c, x = Constant(value), Variable("x")
+    trees = (c, Unary("neg", c), Unary("sqrt", c), Binary("mul", x, c), Binary("add", c, x),
+             Binary("div", x, c), Binary("div", c, x), Binary("pow", c, x))
+    for tree in trees:
+        for point in ({"x": 2.0}, {"x": -0.0}, {"x": 1e300}, {"x": -3.0}, {}):
+            assert same_outcome(evaluate(tree, point), gen.walk_evaluate(tree, point)), (tree, point)
+
+
+def test_a_subtree_used_twice():
+    inner = parse("np.log(x) - y / 3")
+    tree = Binary("mul", inner, Unary("sqrt", Binary("add", inner, Variable("x"))))
+    assert tree.left is tree.right.operand.left
+    rng = random.Random(3)
+    points = [{"x": rng.uniform(-2, 5), "y": rng.uniform(-5, 5)} for _ in range(200)]
+    for point in points + [{"x": 1.0}, {"y": 1.0}, {"x": 0.0, "y": 1.0}]:
+        assert same_outcome(evaluate(tree, point), gen.walk_evaluate(tree, point)), point
+
+
+def test_generated_code_holds_no_text_from_the_formula():
+    tree = parse("secret_name * 1.2345678 + np.sqrt(secret_name)")
+    code = expr._compile(tree).__code__
+    text = repr((code.co_names, code.co_varnames, code.co_consts))
+    assert "secret_name" not in text and "1.2345678" not in text
+    assert evaluate(tree, {"secret_name": 4.0}) == Value(4.0 * 1.2345678 + 2.0)
 
 
 def test_eviction_keeps_every_result_equal_to_the_walk():

@@ -76,7 +76,7 @@ def test_domain_errors(text, bindings, reason):
 def test_unbound_variable_names_subject():
     out = val("x + y", x=1.0)
     assert isinstance(out, DomainError)
-    assert out.subject == "y"
+    assert out.detail == "no value for 'y'"
 
 
 def test_magnitude_cutoff():
@@ -119,4 +119,4 @@ def test_binding_that_is_not_a_number_is_a_domain_error(binding):
     out = val("x*2", x=binding)
     assert isinstance(out, DomainError)
     assert out.reason == "not-a-number"
-    assert out.subject == "x"
+    assert out.detail == "value for 'x' is not a number"

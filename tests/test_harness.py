@@ -319,6 +319,15 @@ def test_execute_parallelism_does_not_change_the_log(tmp_path):
     )
 
 
+def test_each_log_line_is_json_dumps_of_its_document(tmp_path):
+    plan = small_plan(agents=[PowerLawAgentFactory(), RandomAgentFactory(), CrashOnBuild()])
+    execute(plan, out_dir=tmp_path / "run")
+    lines = (tmp_path / "run" / "run.jsonl").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 1 + 3 + 18  # the plan, its environments, its cells
+    for line in lines:
+        assert line == json.dumps(json.loads(line))
+
+
 def test_execute_isolates_crashing_cells(tmp_path):
     plan = small_plan(agents=[CrashOnAct(), PowerLawAgentFactory()])
     record = execute(plan, out_dir=tmp_path / "run")

@@ -235,6 +235,14 @@ def test_non_finite_proposals_cost_nothing():
     json.dumps(session.transcript(), allow_nan=False)
 
 
+def test_proposal_notice_follows_its_own_order_and_entry_the_controllables():
+    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    out = session.submit_turn(turn([{"k": math.nan, "F": "high"}, {"k": 2, "F": 1.0}]))
+    assert out.notices == ["experiment proposal skipped: value for k must be a finite number"]
+    assert list(out.executed[0].items()) == [("F", 1.0), ("k", 2.0), ("x", 0.5)]
+    assert type(out.executed[0]["k"]) is float
+
+
 def test_overbudget_proposals_dropped_with_notice():
     session = new_session(env_by_id("hooke"), "L1", experiments_quota=3, test_quota=2)
     proposals = [{"F": float(i + 1), "k": 10.0} for i in range(5)]
