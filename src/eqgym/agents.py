@@ -24,8 +24,6 @@ from functools import cache
 from pathlib import Path
 from random import Random
 
-import numpy as np
-
 from .expr import VariableDomain, draw
 from .session import ObservationPacket
 
@@ -199,6 +197,8 @@ class PowerLawAgent:
         rows = [(xs, y) for xs, y in rows if sign * y > 1e-300]
         if len(rows) < len(self.names) + 1:
             return
+        import numpy as np
+
         a = np.array([[1.0, *(math.log(x) for x in xs)] for xs, _ in rows])
         b = np.array([math.log(sign * y) for _, y in rows])
         coef, *_ = np.linalg.lstsq(a, b, rcond=None)

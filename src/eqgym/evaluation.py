@@ -7,8 +7,6 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .environment import EnvironmentSpec
 from .expr import (
     DomainError,
@@ -75,6 +73,8 @@ def fit_report(
     n = len(predictions)
     if skipped > len(history) / 2 or n == 0:
         return FitReport(None, None, None, None, n, skipped)
+    import numpy as np
+
     pred = np.asarray(predictions)
     obs = np.asarray(observations)
     ss_res = float(np.sum((pred - obs) ** 2))
@@ -98,6 +98,8 @@ def _kendall_tau_b(x: np.ndarray, y: np.ndarray) -> float | None:
     # one row of pairs at a time so memory stays linear in the history.
     # None when either side is constant or holds a NaN, where scipy's
     # kendalltau gives NaN.
+    import numpy as np
+
     s, untied_x, untied_y = 0.0, 0, 0
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(len(x) - 1):
@@ -237,6 +239,8 @@ def _cell(value: float | None) -> str:
 
 
 def _mean(values: list[float]) -> float | None:
+    import numpy as np
+
     return float(np.mean(values)) if values else None
 
 

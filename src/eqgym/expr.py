@@ -22,8 +22,6 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from typing import Union
 
-import numpy as np
-
 UNARY_OPS = frozenset({
     "neg", "sqrt", "abs", "sin", "cos", "tan", "asin", "acos", "atan",
     "sinh", "cosh", "tanh", "exp", "log",
@@ -549,14 +547,23 @@ def _compile(expr: Expression):
     range.  A variable is read where the walk first reaches it; should a
     read fail, _unreadable reads them all again in that order to name the
     binding.  Names, constants and ops are bound as the function's globals
-    g<n>, so the source holds no text from the formula."""
+    g<n>, so the source holds no text from the formula.  A subtree without
+    variables is computed here, once, by the scalar rules, and bound as its
+    value; one that raises stays in the code, where its error keeps its
+    place in the walk's order."""
     namespace = dict(_HELPERS)
     lines: list[str] = []
     reads: dict[str, str] = {}  # variable name -> its temporary
+    folded: dict[str, float] = {}  # global name -> a variable-free value
 
     def bind(value) -> str:
         name = f"g{len(namespace)}"
         namespace[name] = value
+        return name
+
+    def constant(value: float) -> str:
+        name = bind(value)
+        folded[name] = value
         return name
 
     def assign(code: str) -> str:
@@ -577,14 +584,20 @@ def _compile(expr: Expression):
             return reads[e.name]
         if isinstance(e, (Constant, NamedConstant)):
             value = math.pi if isinstance(e, NamedConstant) else e.value
+            if -HUGE <= value <= HUGE:
+                return constant(value)
             name = bind(value)
-            if not -HUGE <= value <= HUGE:
-                lines.append(f"_checked({name}, 'constant')")
+            lines.append(f"_checked({name}, 'constant')")
             return name
         operands = (e.operand,) if isinstance(e, Unary) else (e.left, e.right)
         args = [node(o) for o in operands]
-        op, code = bind(e.op), _OP_CODE.get(e.op, "{rule}")
         helper = "_apply_unary" if len(args) == 1 else "_apply_binary"
+        if all(a in folded for a in args):
+            try:
+                return constant(_checked(_HELPERS[helper](e.op, *map(folded.get, args)), e.op))
+            except _DomainSignal:
+                pass
+        op, code = bind(e.op), _OP_CODE.get(e.op, "{rule}")
         code = code.format(*args, rule=f"{helper}({op}, {', '.join(args)})",
                            fn=bind(getattr(math, e.op)) if "{fn}" in code else "")
         # A checked operand keeps neg and abs in range.
@@ -895,6 +908,17 @@ def sample_assignments(
     return [{name: draw(plan, uniform) for name, plan in plans} for _ in range(n)]
 
 
+# numpy, bound by _numpy() where the column section is entered, so that
+# importing eqgym and running sessions that judge nothing never load it.
+np = None
+
+
+def _numpy() -> None:
+    global np
+    if np is None:
+        import numpy as np
+
+
 def sample_columns(
     domains: Mapping[str, VariableDomain], n: int, seed: int
 ) -> dict[str, np.ndarray]:
@@ -906,6 +930,7 @@ def sample_columns(
     standard library's; NEP 19 freezes its stream, and its doubles are
     built from 53 bits as random.random() builds them.  Other seeds, and
     a draw that its domain rejects, replay sample_assignments."""
+    _numpy()
     key = tuple(sorted(domains.items()))
     return dict(zip(sorted(domains), _sampled(key, n, seed)))
 
@@ -997,6 +1022,7 @@ def evaluate_columns(
     inner node reaches the outer ones unmasked (`_map_math` maps a libm
     failure to inf).  A mask is built only where some point fails.
     """
+    _numpy()
     nodes: list[np.ndarray] = []
     with np.errstate(all="ignore"):
         try:

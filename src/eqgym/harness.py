@@ -397,7 +397,11 @@ def _fork_pool(plan: RunPlan, cells: list, workers: int) -> ProcessPoolExecutor:
     # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
     # environments and transports are never pickled; only index ranges go
-    # out and lists of transcript dicts come back.
+    # out and lists of transcript dicts come back.  numpy is loaded here,
+    # before the fork, so that the workers share one loaded copy instead of
+    # each importing it and starting its own OpenBLAS threads.
+    import numpy
+
     return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
@@ -530,17 +534,19 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
         raise EmptyRun(f"no run log at {log}")
     transcripts: list[dict] = []
     environments: list[EnvironmentSpec] = []
-    lines = log.read_text(encoding="utf-8").split("\n")
+    lines = log.read_bytes().split(b"\n")
     for number, line in enumerate(lines, 1):
         if not line.strip():
             continue
         try:
-            document = json.loads(line)
-        except json.JSONDecodeError:
+            document = json.loads(line.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
             # A run killed mid-write leaves a last line with no newline.
             if number == len(lines):
                 break
-            raise
+            if isinstance(err, UnicodeDecodeError):
+                raise ValueError(f"{log}:{number}: {err}") from None
+            raise json.JSONDecodeError(f"{log}:{number}: {err.msg}", err.doc, err.pos) from None
         if not isinstance(document, dict):
             raise ValueError(f"{log}:{number}: not a JSON object")
         kind = document.get("kind")
@@ -719,7 +725,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     play_p = sub.add_parser("play", parents=[session_p],
                             help="run one session and print the transcript")
-    play_p.add_argument("--env", required=True, help="environment file")
+    play_p.add_argument("--env", required=True,
+                        help="bundled environment id or environment file")
     play_p.add_argument("--level", default="L1")
     play_p.add_argument("--agent", default="scripted:power_law")
     play_p.set_defaults(handler=_cmd_play)

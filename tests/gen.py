@@ -65,10 +65,14 @@ def _walk(expr: Expression, bindings) -> float:
         return math.pi
     if isinstance(expr, Variable):
         try:
-            v = bindings[expr.name]
+            v = float(bindings[expr.name])
         except KeyError:
             raise _DomainSignal("unbound-variable", f"no value for {expr.name!r}") from None
-        return _checked(float(v), expr.name)
+        except OverflowError:
+            raise _DomainSignal("overflow", expr.name) from None
+        except (TypeError, ValueError):
+            raise _DomainSignal("not-a-number", f"value for {expr.name!r} is not a number") from None
+        return _checked(v, expr.name)
     if isinstance(expr, Unary):
         x = _walk(expr.operand, bindings)
         return _checked(_apply_unary(expr.op, x), expr.op)

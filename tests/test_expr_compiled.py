@@ -131,6 +131,42 @@ def test_a_subtree_used_twice():
         assert same_outcome(evaluate(tree, point), gen.walk_evaluate(tree, point)), point
 
 
+CONSTANT_SUBTREES = (
+    "2*np.pi", "299792458**2", "-(3 - 5)", "np.exp(1.5)**0.5", "(-8)**2 / 3",
+    "np.log(0)", "1/0", "1e200*1e200", "np.sqrt(-1)", "np.exp(1000)", "(-8)**(1/3)",
+    "np.asin(2)", "0**-1", "2*np.pi / (1 - 1)",
+)
+
+
+@pytest.mark.parametrize("subtree", CONSTANT_SUBTREES)
+def test_constant_subtrees_next_to_variables(subtree):
+    # Folded where it is defined, left in the code where it raises: either
+    # way each outcome is the walk's, also when the variable beside the
+    # subtree is unbound or not a number and its error comes first or last.
+    texts = (subtree, f"x + {subtree}", f"({subtree}) * x", f"x / ({subtree}) - y",
+             f"np.sqrt({subtree}) + x**({subtree})", f"({subtree}) - ({subtree}) * x")
+    points = ({}, {"x": 2.0}, {"x": -0.0, "y": 1.0}, {"x": "a", "y": 1.0}, {"y": None},
+              {"x": 1e300, "y": math.nan}, {"x": 10**400})
+    for text in texts:
+        tree = parse(text)
+        for point in points:
+            got, want = evaluate(tree, point), gen.walk_evaluate(tree, point)
+            assert same_outcome(got, want), (text, point, got, want)
+
+
+def test_defined_constant_subtrees_are_computed_once():
+    pendulum = expr._compile(parse("2*np.pi*np.sqrt(l/g)"))
+    assert 2 * math.pi in pendulum.__globals__.values()
+    # One inline multiply is left: no pow through _apply_binary.
+    rest_energy = expr._compile(parse("m * 299792458**2"))
+    assert 299792458.0**2 in rest_energy.__globals__.values()
+    assert "_apply_binary" not in rest_energy.__code__.co_names
+    # A subtree that raises keeps its place: x's missing value comes first.
+    tree = parse("x + np.log(0)")
+    assert evaluate(tree, {}) == DomainError("unbound-variable", "no value for 'x'")
+    assert evaluate(tree, {"x": 1.0}) == DomainError("log-nonpositive", "log of 0.0")
+
+
 def test_generated_code_holds_no_text_from_the_formula():
     tree = parse("secret_name * 1.2345678 + np.sqrt(secret_name)")
     code = expr._compile(tree).__code__

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -864,6 +865,30 @@ def test_report_rejects_a_malformed_log_line_by_number(tmp_path, capsys, line, m
     assert err == f"error: {log}:2: {message}\n"
 
 
+UNDECODABLE_LOG_LINES = {
+    "malformed-json": (b'{"kind": "transcript", }',
+                       "Expecting property name enclosed in double quotes: "
+                       "line 1 column 24 (char 23)"),
+    "not-utf-8": (b'{"kind": "plan", "\xff": 1}',
+                  "'utf-8' codec can't decode byte 0xff in position 18: invalid start byte"),
+}
+
+
+@pytest.mark.parametrize("line, message", UNDECODABLE_LOG_LINES.values(),
+                         ids=UNDECODABLE_LOG_LINES)
+def test_report_names_the_line_that_does_not_decode(tmp_path, capsys, line, message):
+    log = tmp_path / "run.jsonl"
+    transcript = json.dumps(HOOKE_TRANSCRIPT).encode()
+    log.write_bytes(b"\n".join([b'{"kind": "plan"}', line, transcript]) + b"\n")
+    with pytest.raises(ValueError, match=f"run.jsonl:2: {re.escape(message)}$"):
+        load_run(tmp_path)
+    assert main(["report", "--run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == f"error: {log}:2: {message}\n"
+    # The same bytes torn off the end of a killed run are skipped.
+    log.write_bytes(b"\n".join([b'{"kind": "plan"}', transcript, line]))
+    assert load_run(tmp_path)[0] == [HOOKE_TRANSCRIPT]
+
+
 def test_load_run_empty(tmp_path):
     with pytest.raises(EmptyRun):
         load_run(tmp_path)
@@ -1007,3 +1032,65 @@ def test_import_eqgym_leaves_the_http_client_unloaded():
     ))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n") == ["[]", "True", "True", ""]
+
+
+@pytest.mark.parametrize("blocked", [False, True], ids=["numpy-present", "numpy-blocked"])
+def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
+    # numpy is imported by the column oracle, the power-law fit and the
+    # report's means only; with every numpy import blocked, the rest works.
+    envs = Path(eqgym.__file__).resolve().parent / "envs"
+    proc = run_python("-c", (
+        "import sys\n"
+        f"if {blocked}: sys.modules['numpy'] = None\n"
+        "loaded = []\n"
+        "def step(name): loaded.append(name) if sys.modules.get('numpy') else None\n"
+        "import eqgym\n"
+        "from eqgym.agents import parse_turn, serialize_turn\n"
+        "from eqgym.session import ObservationPacket, new_session\n"
+        "step('import')\n"
+        "envs = {env.env_id: env for env in eqgym.bundled_environments()}\n"
+        "step('bundled_environments')\n"
+        "agents = [eqgym.agent_from_spec(s) for s in ('scripted:power_law', 'scripted:random')]\n"
+        "plan = eqgym.RunPlan(tuple(envs.values()), ('L1', 'L4'), agents)\n"
+        "step('RunPlan')\n"
+        "transcript = eqgym.harness.run_session(envs['hooke'], 'L1', agents[1], seed=3)\n"
+        "step('run_session')\n"
+        f"code = eqgym.harness.main(['validate', '--envs', {str(envs)!r}])\n"
+        "step('validate')\n"
+        "packet = new_session(envs['kepler'], 'L2', seed=1).observation_packet()\n"
+        "wire = ObservationPacket.from_wire(packet.to_wire()).to_wire()\n"
+        "turn = parse_turn({'next_experiments': [{'x': 1.0}],\n"
+        "                   'test_hypothesis_flag': True,\n"
+        "                   'current_hypothesis_formula': 'x'})\n"
+        "reply = serialize_turn(turn)\n"
+        "step('wire')\n"
+        "print(loaded, code, transcript['status'], transcript['experiments_used'],\n"
+        "      wire == packet.to_wire(), reply['current_hypothesis_formula'])"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[] 0 exhausted 100 True x"
+
+
+@linux_only
+def test_fork_pool_workers_inherit_numpy(tmp_path):
+    # A worker that imported numpy itself would pay for the import and
+    # start its own OpenBLAS threads; the pool's first cells build their
+    # agents before any hypothesis test could load it.
+    proc = run_python("-c", (
+        "import sys\n"
+        "from eqgym import build_plan, bundled_environments, execute\n"
+        "from eqgym.agents import PowerLawAgentFactory\n"
+        "class NeedsNumpy(PowerLawAgentFactory):\n"
+        "    def build(self, session):\n"
+        "        if 'numpy' not in sys.modules:\n"
+        "            raise RuntimeError('numpy was not loaded before the fork')\n"
+        "        return super().build(session)\n"
+        "plan = build_plan(bundled_environments()[:3], ['L1', 'L4'], [NeedsNumpy()],\n"
+        "                  parallelism=2)\n"
+        "print('numpy' in sys.modules)\n"
+        "record = execute(plan)\n"
+        "print(len(record.transcripts), record.errors,\n"
+        "      [t['status'] for t in record.transcripts].count('protocol_failure'))"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["False", "6 [] 0", ""]
