@@ -7,6 +7,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
@@ -19,11 +20,12 @@ from .expr import (
     ExpressionError,
     Value,
     VariableDomain,
-    evaluate,
+    compiled,
     free_variables,
     parse,
     render,
     rename_variables,
+    _DomainSignal,
     _IDENT_RE,
 )
 
@@ -33,6 +35,7 @@ PLACEHOLDER_OBSERVABLE = "An observable physical quantity."
 
 _ID_RE = re.compile(r"[A-Za-z0-9_\-]+\Z")
 _COMPARATOR_RE = re.compile(r"(<=|>=|<|>)")
+_COMPARE = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
 
 
 class SchemaError(ValueError):
@@ -88,19 +91,6 @@ class Constraint:
         """The constraint in its own names, rendered on first use."""
         return f"{render(self.left)} {self.op} {render(self.right)}"
 
-    def holds(self, assignment: Mapping[str, float]) -> bool:
-        a = evaluate(self.left, assignment)
-        b = evaluate(self.right, assignment)
-        if isinstance(a, DomainError) or isinstance(b, DomainError):
-            return False
-        if self.op == "<":
-            return a.value < b.value
-        if self.op == "<=":
-            return a.value <= b.value
-        if self.op == ">":
-            return a.value > b.value
-        return a.value >= b.value
-
 
 def parse_constraint(text: str) -> Constraint:
     parts = _COMPARATOR_RE.split(text)
@@ -137,12 +127,18 @@ class EnvironmentSpec:
         return {v.name: v.domain for v in self.controllables()}
 
     @functools.cached_property
-    def check_plan(self) -> tuple[frozenset[str], tuple[tuple, ...]]:
-        """run_experiment's constants, worked out on first use: the names to
-        bind, and (name, domain, lower, upper) for each controllable."""
+    def check_plan(self) -> tuple:
+        """experiment's constants, worked out on first use: the names to
+        bind, (name, domain, lower, upper) for each controllable, the law's
+        compiled function, and (left, compare, right, constraint) for each
+        constraint, its sides compiled."""
         controllables = self.controllables()
-        return frozenset(v.name for v in controllables), tuple(
-            (v.name, v.domain, v.domain.lower, v.domain.upper) for v in controllables
+        return (
+            frozenset(v.name for v in controllables),
+            tuple((v.name, v.domain, v.domain.lower, v.domain.upper) for v in controllables),
+            compiled(self.equation),
+            tuple((compiled(c.left), _COMPARE[c.op], compiled(c.right), c)
+                  for c in self.validity),
         )
 
     @functools.cached_property
@@ -377,41 +373,68 @@ def bundled_environments() -> list[EnvironmentSpec]:
     return load_directory(Path(__file__).parent / "envs")
 
 
-def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> EvalOutcome:
-    """Execute one experiment against the hidden equation.
+def experiment(env: EnvironmentSpec, assignment: Mapping, inputs: dict):
+    """Check and run one experiment in a single pass: the law's float, or
+    why it is rejected as a DomainError; None if `assignment` does not bind
+    exactly `env`'s controllables.
 
-    The assignment must bind exactly the controllable variables, in
-    `env`'s names (`env.anonymous` takes var_1 ...).  Out-of-domain values and validity violations come back as
-    DomainError whose detail names the offending variable/constraint;
-    otherwise the equation's own outcome is returned.
+    Each value goes into `inputs` as a float, in controllables order.  The
+    first value outside its domain, in that order, rejects the experiment,
+    then the first constraint violated, then the law's own domain error.
+    A value that is not a finite number ends the pass before it is stored,
+    so `inputs` is left short; what returns then is the first rejection up
+    to it, counting a value that is not a number as one.
     """
-    expected, checks = env.check_plan
-    if assignment.keys() != expected:
-        raise ValueError(
-            f"{env.env_id}: assignment must bind exactly {sorted(expected)}, "
-            f"got {sorted(assignment)}"
-        )
-    inputs = assignment  # copied only if a value needs converting
+    names, checks, law, constraints = env.check_plan
+    if assignment.keys() != names:
+        return None
+    rejection = None
     for name, domain, lower, upper in checks:
         value = assignment[name]
-        if type(value) is not float:
+        if type(value) is not float or not lower < value < upper:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                return DomainError("out-of-domain", f"{name} must be a number")
+                return rejection or DomainError("out-of-domain", f"{name} must be a number")
             try:
                 value = float(value)
             except OverflowError:  # an int beyond float range
                 value = math.inf if value > 0 else -math.inf
-            inputs = dict(inputs)
-            inputs[name] = value
-        if not lower < value < upper and not domain.contains(value):
-            return DomainError(
-                "out-of-domain",
-                f"{name} = {value!r} outside its admissible range",
-            )
-    for constraint in env.validity:
-        if not constraint.holds(inputs):
+            if rejection is None and not domain.contains(value):
+                rejection = DomainError(
+                    "out-of-domain", f"{name} = {value!r} outside its admissible range")
+            if not math.isfinite(value):
+                return rejection
+        inputs[name] = value
+    if rejection is not None:
+        return rejection
+    for left, compare, right, constraint in constraints:
+        try:
+            holds = compare(left(inputs), right(inputs))
+        except _DomainSignal:
+            holds = False
+        if not holds:
             return DomainError("validity", f"constraint {constraint.text} violated")
-    return evaluate(env.equation, inputs)
+    try:
+        return law(inputs)
+    except _DomainSignal as sig:
+        return DomainError(sig.reason, sig.detail)
+
+
+def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> EvalOutcome:
+    """Execute one experiment against the hidden equation.
+
+    The assignment must bind exactly the controllable variables, in
+    `env`'s names (`env.anonymous` takes var_1 ...).  Out-of-domain values
+    and validity violations come back as DomainError whose detail names
+    the offending variable/constraint; otherwise the equation's own
+    outcome is returned.
+    """
+    outcome = experiment(env, assignment, {})
+    if outcome is None:
+        raise ValueError(
+            f"{env.env_id}: assignment must bind exactly {sorted(env.check_plan[0])}, "
+            f"got {sorted(assignment)}"
+        )
+    return outcome if isinstance(outcome, DomainError) else Value(outcome)
 
 
 @dataclass(frozen=True)

@@ -426,11 +426,13 @@ def _variable_names(expr: Expression) -> frozenset[str]:
 
 
 def rename_variables(expr: Expression, mapping: Mapping[str, str]) -> Expression:
-    """Rewrite variable names; names absent from the mapping are kept."""
+    """Rewrite variable names; names absent from the mapping are kept.  A
+    tree whose names all stay comes back itself, since trees are immutable."""
+    free = free_variables(expr)
+    if all(mapping.get(name, name) == name for name in free):
+        return expr
     renamed = _renamed(expr, mapping)
-    free = expr.__dict__.get("_free")
-    if free is not None:
-        renamed.__dict__["_free"] = frozenset(mapping.get(name, name) for name in free)
+    renamed.__dict__["_free"] = frozenset(mapping.get(name, name) for name in free)
     return renamed
 
 
@@ -618,20 +620,25 @@ _COMPILED: dict[int, tuple[Expression, object]] = {}
 _COMPILED_MAX = 256
 
 
-def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
-    """Evaluate at a point.  Returns Value or DomainError; never raises.
-
-    The tree is compiled on its first evaluation into one generated Python
-    function, whose source holds no text from the formula, and the
-    function is cached by the tree's identity, so repeated evaluations of
-    one law cost little more than its arithmetic."""
+def compiled(expr: Expression):
+    """The tree's generated function (see _compile), compiled on first use
+    and cached by the tree's identity."""
     entry = _COMPILED.get(id(expr))
     if entry is None:
         if len(_COMPILED) >= _COMPILED_MAX:
             _COMPILED.clear()
         entry = _COMPILED[id(expr)] = (expr, _compile(expr))
+    return entry[1]
+
+
+def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
+    """Evaluate at a point.  Returns Value or DomainError; never raises.
+
+    The tree runs as its compiled function, whose source holds no text from
+    the formula, so repeated evaluations of one law cost little more than
+    its arithmetic."""
     try:
-        return Value(entry[1](bindings))
+        return Value(compiled(expr)(bindings))
     except _DomainSignal as sig:
         return DomainError(sig.reason, sig.detail)
 

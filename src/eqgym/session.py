@@ -16,13 +16,12 @@ from dataclasses import dataclass
 
 from . import evaluation
 from .environment import (
-    LEVELS, EnvironmentSpec, PriorMask, render_observation, run_experiment, shown_environment,
+    LEVELS, EnvironmentSpec, PriorMask, experiment, render_observation, shown_environment,
 )
 from .expr import (
     EquivalenceVerdict,
     Expression,
     ExpressionError,
-    Value,
     free_variables,
     parse,
     rename_variables,
@@ -243,17 +242,12 @@ class Session:
                     f"{dropped} experiment proposal(s) dropped: experiment quota exhausted"
                 )
                 break
-            entry = self._entry(proposal)
+            entry = self._run(proposal)
             if type(entry) is str:
                 malformed += 1
                 notices.append(f"experiment proposal skipped: {entry}")
                 continue
-            outcome = run_experiment(self.shown_env, entry)
             self.experiments_remaining -= 1
-            if isinstance(outcome, Value):
-                entry[self.shown_env.output.name] = outcome.value
-            else:
-                entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
             self._history.append(entry)
             executed.append(entry)
 
@@ -295,13 +289,19 @@ class Session:
         self.turn_index += 1
         return outcome
 
-    def _entry(self, proposal) -> dict | str:
-        """The proposal's history entry, its values as floats in the
-        controllables' order, or why the proposal is malformed."""
+    def _run(self, proposal) -> dict | str:
+        """The experiment's history entry, its values as floats in the
+        controllables' order, then the output's value or an "invalid"
+        reason; or why the proposal is malformed."""
         if type(proposal) is not dict and not isinstance(proposal, Mapping):
             return "proposal must be an object of variable assignments"
+        entry = {}
+        outcome = experiment(self.shown_env, proposal, entry)
+        if type(outcome) is float:
+            entry[self.shown_env.output.name] = outcome
+            return entry
         expected = self._to_true.keys()
-        if proposal.keys() != expected:
+        if outcome is None:
             missing = sorted(expected - proposal.keys())
             extra = sorted(proposal.keys() - expected)
             parts = []
@@ -310,15 +310,10 @@ class Session:
             if extra:
                 parts.append(f"unknown {extra}")
             return "bad variable set: " + ", ".join(parts)
-        entry = {}
-        for name in expected:
-            value = proposal[name]
-            if type(value) is not float or value - value != 0.0:  # not a finite float
-                if _value_problem(name, value) is not None:
-                    # Name the first bad value in the proposal's own order.
-                    return next(filter(None, itertools.starmap(_value_problem, proposal.items())))
-                value = float(value)
-            entry[name] = value
+        if len(entry) != len(expected):  # a value is not a finite number
+            # Name the first bad value in the proposal's own order.
+            return next(filter(None, itertools.starmap(_value_problem, proposal.items())))
+        entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
         return entry
 
     def _record_hypothesis(self, formula: str) -> HypothesisRecord:

@@ -486,7 +486,23 @@ def reference_sample(domain, rng: random.Random) -> float:
     return (domain.lower + domain.upper) / 2.0
 
 
-def reference_run_experiment(env, assignment: Mapping[str, float]):
+def _holds(constraint, assignment, evaluate) -> bool:
+    a = evaluate(constraint.left, assignment)
+    b = evaluate(constraint.right, assignment)
+    if isinstance(a, DomainError) or isinstance(b, DomainError):
+        return False
+    if constraint.op == "<":
+        return a.value < b.value
+    if constraint.op == "<=":
+        return a.value <= b.value
+    if constraint.op == ">":
+        return a.value > b.value
+    return a.value >= b.value
+
+
+def reference_run_experiment(env, assignment: Mapping[str, float], evaluate=evaluate):
+    """run_experiment's old body, the law and the constraint sides computed
+    by `evaluate` (`walk_evaluate` for a twin independent of the compiler)."""
     controllables = env.controllables()
     expected = {v.name for v in controllables}
     if assignment.keys() != expected:
@@ -511,9 +527,64 @@ def reference_run_experiment(env, assignment: Mapping[str, float]):
             )
         inputs_only[v.name] = value
     for constraint in env.validity:
-        if not constraint.holds(inputs_only):
+        if not _holds(constraint, inputs_only, evaluate):
             return DomainError("validity", f"constraint {constraint.text} violated")
     return evaluate(env.equation, inputs_only)
+
+
+def _value_problem(name: str, value) -> str | None:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return f"value for {name} must be a number"
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        finite = False
+    return None if finite else f"value for {name} must be a finite number"
+
+
+def _reference_entry(proposal, names: list[str]) -> dict | str:
+    if not isinstance(proposal, Mapping):
+        return "proposal must be an object of variable assignments"
+    if proposal.keys() != set(names):
+        missing = sorted(set(names) - proposal.keys())
+        extra = sorted(proposal.keys() - set(names))
+        parts = [f"missing {missing}"] if missing else []
+        if extra:
+            parts.append(f"unknown {extra}")
+        return "bad variable set: " + ", ".join(parts)
+    for name, value in proposal.items():  # the first bad value in the proposal's order
+        problem = _value_problem(name, value)
+        if problem is not None:
+            return problem
+    return {name: float(proposal[name]) for name in names}
+
+
+def reference_experiments(env, remaining: int, proposals: list):
+    """The experiment loop of Session.submit_turn as it was before one pass
+    checked and ran each experiment: the entry built and checked, then
+    run_experiment (the reference above) on it.  `env` is the environment
+    in the names the session shows.  Returns (entries, notices, malformed,
+    dropped, remaining)."""
+    names = [v.name for v in env.controllables()]
+    entries, notices, malformed, dropped = [], [], 0, 0
+    for i, proposal in enumerate(proposals):
+        if remaining <= 0:
+            dropped = len(proposals) - i
+            notices.append(f"{dropped} experiment proposal(s) dropped: experiment quota exhausted")
+            break
+        entry = _reference_entry(proposal, names)
+        if isinstance(entry, str):
+            malformed += 1
+            notices.append(f"experiment proposal skipped: {entry}")
+            continue
+        outcome = reference_run_experiment(env, entry)
+        remaining -= 1
+        if isinstance(outcome, Value):
+            entry[env.output.name] = outcome.value
+        else:
+            entry["invalid"] = f"{outcome.reason}: {outcome.detail}"
+        entries.append(entry)
+    return entries, notices, malformed, dropped, remaining
 
 
 # -- flat JSON objects ---------------------------------------------------------

@@ -1,6 +1,7 @@
 """The draw and check plans against the code they replaced (tests/gen.py):
 RandomAgent proposals and sample_assignments must match the old
-VariableDomain.sample, and run_experiment its old body, bit for bit."""
+VariableDomain.sample, run_experiment its old body, and the experiments of
+Session.submit_turn its old loop, bit for bit."""
 
 import dataclasses
 import itertools
@@ -11,10 +12,10 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 
 from eqgym.agents import RandomAgent, RandomAgentFactory
-from eqgym.environment import bundled_environments, run_experiment
+from eqgym.environment import LEVELS, bundled_environments, run_experiment, shown_environment
 from eqgym.expr import DomainError, Value, VariableDomain, sample_assignments
-from eqgym.session import new_session
-from gen import reference_run_experiment, reference_sample
+from eqgym.session import Session, new_session
+from gen import reference_experiments, reference_run_experiment, reference_sample
 
 QUOTA = 1600
 
@@ -141,6 +142,13 @@ def _rows(env):
                       math.nextafter(d.upper, math.inf), d.lower - 1.0, d.upper * 2.0,
                       *_ODD_VALUES):
             rows.append({**middle, n: value})
+    # Two bad values: the first out of domain in controllables order is
+    # named, and a value that is not a number counts wherever it stands.
+    for a, b in itertools.permutations(names, 2):
+        below = domains[a].lower - (domains[a].upper - domains[a].lower)
+        above = domains[b].upper + (domains[b].upper - domains[b].lower)
+        for value in (above, math.nan, "1.5"):
+            rows.append({**middle, a: below, b: value})
     # Every value converted, and a mapping that is not a dict.
     rows.append({n: math.ceil(d.lower) for n, d in domains.items()})
     rows.append(MappingProxyType(middle))
@@ -165,6 +173,55 @@ def test_run_experiment_matches_the_reference_on_validity_violations():
             outcome = _same(env, {**row, "r": r})
             violations += getattr(outcome, "reason", None) == "validity"
     assert violations >= 400
+
+
+def _validity_rows(env, names):
+    """env_409 rows with r below, at and just above a (r < a is its
+    constraint), in the names `names` maps the true ones to."""
+    rows = []
+    for row in sample_assignments(env.domains(), 400, 9):
+        for r in (row["r"], row["a"], math.nextafter(row["a"], math.inf)):
+            rows.append({names[v.name]: {**row, "r": r}[v.name] for v in env.controllables()})
+    return rows
+
+
+def _bits_or_text(entries):
+    return [[(k, v.hex() if type(v) is float else v) for k, v in e.items()] for e in entries]
+
+
+@pytest.mark.parametrize("level", ["L1", "L4"])
+def test_submit_turn_matches_the_reference(level):
+    """Each turn's experiments against the old loop: its entry built and
+    checked, then the old run_experiment.  The quota runs out part way
+    through the last turns, so proposals are dropped too."""
+    for env in bundled_environments():
+        shown = shown_environment(env, LEVELS[level])
+        rows = _rows(shown) + [[1.0], None, "F=1", MappingProxyType({})]
+        if env.env_id == "env_409":
+            to_shown = {t: d for d, t in
+                        Session(env, level).header.name_map.items()}
+            rows += _validity_rows(env, to_shown)
+        runnable = len(rows) - reference_experiments(shown, len(rows), rows)[4]
+        quota = runnable - 5  # the last 5 runnable rows are dropped
+        session = Session(env, level, experiments_quota=quota, test_quota=1)
+        remaining, skipped = quota, 0
+        for start in range(0, len(rows), 7):
+            batch = rows[start:start + 7]
+            entries, notices, malformed, dropped, remaining = reference_experiments(
+                shown, remaining, batch)
+            out = session.submit_turn(SimpleNamespace(
+                next_experiments=batch, test_hypothesis_flag=False,
+                current_hypothesis_formula=""))
+            assert _bits_or_text(out.executed) == _bits_or_text(entries), (env.env_id, batch)
+            assert (out.notices, out.malformed, out.dropped) == (notices, malformed, dropped)
+            assert session.experiments_remaining == remaining
+            skipped += malformed
+        assert remaining == 0 and out.dropped > 0 and skipped > 0
+        history = session.transcript()["experiments"]
+        assert _bits_or_text(history) == _bits_or_text(reference_experiments(shown, quota, rows)[0])
+        reasons = {e["invalid"].split(":")[0] for e in history if "invalid" in e}
+        assert "out-of-domain" in reasons and any(shown.output.name in e for e in history)
+        assert ("validity" in reasons) == (env.env_id == "env_409")
 
 
 def test_a_replaced_environment_gets_its_own_plan():

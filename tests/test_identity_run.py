@@ -1,0 +1,98 @@
+"""The identity run, pinned: the bundled grid x L1-L4, 3 replicates, at
+seeds 0, 7, 99 and 2024, for scripted:power_law at 100 experiments and 5
+tests and scripted:random at 200 and 5, must write the same 8 run.jsonl
+logs byte for byte.
+
+identity_run.json holds each log's sha256 and, for each of its lines, one
+byte of the sha256 of the line and of each top-level field, so that a
+mismatch names the first cell and field that differ.  A change that alters
+the logs on purpose rewrites that file with
+
+    PYTHONPATH=src python tests/test_identity_run.py
+
+and says which verdicts changed."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from pathlib import Path
+
+from eqgym.agents import agent_from_spec
+from eqgym.environment import LEVELS, bundled_environments
+from eqgym.harness import RunPlan, execute
+
+PINNED = Path(__file__).with_name("identity_run.json")
+SEEDS = (0, 7, 99, 2024)
+AGENTS = (("power_law", 100), ("random", 200))
+
+
+def _plans():
+    envs = bundled_environments()
+    for seed in SEEDS:
+        for agent, quota in AGENTS:
+            yield f"{agent}-{seed}", RunPlan(
+                envs, tuple(LEVELS), (agent_from_spec(f"scripted:{agent}"),),
+                experiments_quota=quota, test_quota=5, seed=seed, replicates=3,
+            )
+
+
+def _byte(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()[:2]
+
+
+def _lines(log: bytes) -> list[str]:
+    """Per line: a byte of the line's digest, then one per field, in hex."""
+    lines = []
+    for line in log.splitlines():
+        fields = json.loads(line).items()
+        lines.append(_byte(line) + "".join(_byte(json.dumps([k, v]).encode()) for k, v in fields))
+    return lines
+
+
+def _cell(doc: dict) -> str:
+    if doc.get("kind") == "transcript":
+        return f"cell {doc['env_id']} {doc['level']} replicate {doc['replicate']}"
+    return " ".join(str(doc[k]) for k in ("kind", "env_id") if k in doc)
+
+
+def _first_difference(log: bytes, pinned: list[str]) -> str:
+    got = _lines(log)
+    for number, (line, now, then) in enumerate(zip(log.splitlines(), got, pinned), 1):
+        if now != then:
+            doc = json.loads(line)
+            fields = [key for i, key in enumerate(doc, 1) if now[2 * i:2 * i + 2] != then[2 * i:2 * i + 2]]
+            where = f"field {fields[0]!r}" if fields else "its bytes or field order"
+            return f"line {number}, {_cell(doc)}: {where} differs"
+    return f"{len(got)} lines, {len(pinned)} pinned"
+
+
+def _run(out: Path) -> dict[str, bytes]:
+    logs = {}
+    for name, plan in _plans():
+        execute(plan, out / name)
+        logs[name] = (out / name / "run.jsonl").read_bytes()
+    return logs
+
+
+def test_the_identity_run_writes_the_pinned_logs(tmp_path):
+    pinned = json.loads(PINNED.read_text(encoding="utf-8"))
+    logs = _run(tmp_path)
+    assert list(logs) == list(pinned)
+    differences = [
+        f"{name}: {_first_difference(log, pinned[name]['lines'])}"
+        for name, log in logs.items()
+        if hashlib.sha256(log).hexdigest() != pinned[name]["sha256"]
+    ]
+    assert not differences, "\n".join(differences)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as work:
+        logs = _run(Path(work))
+    PINNED.write_text(json.dumps({
+        name: {"sha256": hashlib.sha256(log).hexdigest(), "lines": _lines(log)}
+        for name, log in logs.items()
+    }, indent=1) + "\n", encoding="utf-8")

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from eqgym import environment, expr
+from eqgym import environment, evaluation, expr
 from eqgym.agents import agent_from_spec
 from eqgym.environment import (
     LEVELS,
@@ -168,6 +168,54 @@ def test_each_validity_constraint_is_rendered_once(monkeypatch):
     assert rendered == [env.anonymous.equation_text, "var_4", "var_3"]
     assert "text" not in env.validity[0].__dict__
     assert [c.text for c in env.validity] == ["r < a"]
+
+
+@pytest.mark.parametrize("level", ["L1", "L4"])
+def test_a_fresh_environment_compiles_only_its_law_and_constraints(level, monkeypatch):
+    # Experiments call the compiled functions the environment keeps, so a
+    # power-law sweep compiles the law, and env_409's two constraint sides,
+    # once per environment: a second session compiles nothing.
+    compiled = []
+    original = expr._compile
+
+    def counting(tree):
+        compiled.append(tree)
+        return original(tree)
+
+    monkeypatch.setattr(expr, "_compile", counting)
+    for env in bundled_environments():
+        fresh = load_spec(spec_to_dict(env))  # trees never compiled
+        for first in (True, False):
+            compiled.clear()
+            session = Session(fresh, level)
+            agent = agent_from_spec("scripted:power_law").build(session)
+            out = session.submit_turn(agent.act(session.observation_packet()))
+            assert len(out.executed) == 1 + 2 * len(env.inputs)
+            shown = session.shown_env
+            trees = [shown.equation] + [t for c in shown.validity for t in (c.left, c.right)]
+            assert sorted(map(id, compiled)) == (sorted(map(id, trees)) if first else [])
+
+
+@pytest.mark.parametrize("level", ["L1", "L4"])
+def test_the_oracle_gets_the_parsed_tree_unless_names_change(level, monkeypatch):
+    judged = []
+    original = evaluation.oracle_test
+
+    def recording(env, hypothesis, seed=0):
+        judged.append(hypothesis)
+        return original(env, hypothesis, seed=seed)
+
+    monkeypatch.setattr(evaluation, "oracle_test", recording)
+    session = new_session(env_by_id("hooke"), level, test_quota=2)
+    formula = "F / k" if level == "L1" else "var_1 / var_2"
+    assert session.submit_turn(turn(flag=True, formula=formula)).oracle.equivalent
+    parsed = session.hypotheses[0].parsed
+    if level == "L1":  # display names are the true names: nothing to rename
+        assert judged == [parsed] and judged[0] is parsed
+    else:
+        assert judged[0] is not parsed and judged[0] == expr.parse("F / k")
+        assert judged[0].__dict__["_free"] == {"F", "k"}
+        assert parsed.__dict__["_free"] == {"var_1", "var_2"}
 
 
 def test_an_overflowing_input_is_named_in_display_names():
