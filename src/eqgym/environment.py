@@ -432,7 +432,7 @@ def run_experiment(env: EnvironmentSpec, assignment: Mapping[str, float]) -> Eva
     if outcome is None:
         raise ValueError(
             f"{env.env_id}: assignment must bind exactly {sorted(env.check_plan[0])}, "
-            f"got {sorted(assignment)}"
+            f"got {sorted(assignment, key=str)}"
         )
     return outcome if isinstance(outcome, DomainError) else Value(outcome)
 

@@ -239,9 +239,7 @@ def _cell(value: float | None) -> str:
 
 
 def _mean(values: list[float]) -> float | None:
-    import numpy as np
-
-    return float(np.mean(values)) if values else None
+    return sum(values) / len(values) if values else None
 
 
 LEVEL_ORDER = {"L1": 0, "L2": 1, "L3": 2, "L4": 3, "custom": 4}

@@ -930,7 +930,7 @@ def sample_columns(
     domains: Mapping[str, VariableDomain], n: int, seed: int
 ) -> dict[str, np.ndarray]:
     """The points of sample_assignments(domains, n, seed), bit for bit, as
-    one read-only array per variable.  Cached per (domains, n, seed).
+    one read-only array per variable.
 
     For an int seed the draws come from numpy's legacy Mersenne Twister
     (one per thread), seeded exactly as random.seed(seed) seeds the
@@ -958,7 +958,6 @@ def _uniforms(seed: int, count: int) -> np.ndarray:
     return rng.random_sample(count)
 
 
-@functools.lru_cache(maxsize=64)
 def _sampled(key: tuple, n: int, seed: int) -> tuple[np.ndarray, ...]:
     # The same random() draws in the same order as sample_assignments,
     # mapped through the same arithmetic as random.uniform and sample().

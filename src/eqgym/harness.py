@@ -276,7 +276,7 @@ def _split_budget(threaded: list[bool], budget: int,
     http = sum(threaded)
     threads = min(budget, HTTP_PARALLEL_CAP) if http and capped else budget
     if budget > 1 and sys.platform.startswith("linux") and http < len(threaded):
-        return min(budget, len(threaded) - http), threads if http else 0
+        return min(budget, len(threaded) - http), threads
     return 0, threads
 
 
@@ -288,30 +288,21 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     threads in the caller, where a custom transport's state stays visible,
     and so does every cell when there is no pool.
 
-    A plan of only forked cells submits every chunk at once: through the
-    slot schedule below, a worker would wait while the caller encodes a
-    chunk's documents, which on 2 CPUs cost the long_random and
-    grid_power_law benches 8% of their cells per second.  Otherwise the
-    caller schedules while it waits for its next document.  It starts
-    units (an HTTP cell, or a chunk) in cell order, each while it holds
-    one of budget slots and, for an HTTP cell, one of the threads.  An
-    HTTP cell waiting for a thread does not hold back the chunks after it,
-    and the kind of cell that runs out first leaves every slot to the
-    other.  Nothing starts while the caller is away, so a caller that
-    stops reading starts no more units.
+    The caller schedules while it waits for its next document.  It starts
+    units (a cell on a thread, or a chunk) in cell order, each while it
+    holds one of budget slots and, for a cell on a thread, one of the
+    threads.  An HTTP cell waiting for a thread does not hold back the
+    chunks after it, and chunks that run out first leave every slot to the
+    threads.  A chunk needs a slot only while a cell on a thread waits or
+    runs.  After that (from the start, in a plan without HTTP cells), the
+    caller submits every chunk left the next time it waits: the pool has
+    no more workers than the budget, and a worker waiting for a slot would
+    idle while the caller encodes a chunk's documents.  Nothing starts
+    while the caller is away, so a caller that stops reading starts no
+    more units.
     """
     threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
     processes, threads = _split_budget(threaded, budget, plan.parallelism is None)
-    if not threads:
-        pool = _fork_pool(plan, cells, processes)
-        try:
-            chunks = [pool.submit(_run_indexed_cells, start, stop)
-                      for start, stop in _chunk_ranges(len(cells), processes)]
-            yield from _forked_documents(plan, cells, pool,
-                                         (chunk.result() for chunk in chunks))
-        finally:
-            pool.shutdown(cancel_futures=True)
-        return
     if not processes:
         threaded = [True] * len(cells)
     forked_at = [index for index, on_thread in enumerate(threaded) if not on_thread]
@@ -322,14 +313,12 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     chunks = deque(forked_at[start] for start, _ in ranges)
     chunk_at = {forked_at[start]: (start, stop) for start, stop in ranges}
     started: dict[int, Future] = {}
-    running: dict[Future, bool] = {}  # holding a slot; True on a thread
-    slots, free_threads = budget, threads
+    running: dict[Future, bool] = {}  # started, not seen done; True on a thread
     thread_pool = ThreadPoolExecutor(max_workers=threads,
                                      thread_name_prefix="eqgym-cell")
     fork_pool = None
 
     def start(on_thread: bool) -> None:
-        nonlocal slots, free_threads
         index = (http if on_thread else chunks).popleft()
         try:
             if on_thread:
@@ -339,22 +328,23 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
         except RuntimeError as err:  # a broken or shut-down pool
             future = Future()
             future.set_exception(err)
-        slots -= 1
-        free_threads -= on_thread
         started[index] = future
         running[future] = on_thread
 
     def result(index: int) -> dict | list[dict]:
-        nonlocal slots, free_threads
         while True:
             for future in [future for future in running if future.done()]:
-                slots += 1
-                free_threads += running.pop(future)
+                del running[future]
             if index in started and started[index].done():
                 return started.pop(index).result()
-            while slots and (chunks or (http and free_threads)):
-                start(bool(http) and free_threads > 0
-                      and not (chunks and chunks[0] < http[0]))
+            while True:
+                on_threads = sum(running.values())
+                free_thread = bool(http) and on_threads < threads
+                # A chunk needs a slot only while a cell on a thread waits or runs.
+                free_slot = len(running) < budget or not (http or on_threads)
+                if not (free_slot and (chunks or free_thread)):
+                    break
+                start(free_thread and not (chunks and chunks[0] < http[0]))
             wait(running, return_when=FIRST_COMPLETED)
 
     try:

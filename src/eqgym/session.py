@@ -302,8 +302,8 @@ class Session:
             return entry
         expected = self._to_true.keys()
         if outcome is None:
-            missing = sorted(expected - proposal.keys())
-            extra = sorted(proposal.keys() - expected)
+            missing = sorted(expected - proposal.keys(), key=str)
+            extra = sorted(proposal.keys() - expected, key=str)
             parts = []
             if missing:
                 parts.append(f"missing {missing}")

@@ -508,7 +508,7 @@ def reference_run_experiment(env, assignment: Mapping[str, float], evaluate=eval
     if assignment.keys() != expected:
         raise ValueError(
             f"{env.env_id}: assignment must bind exactly {sorted(expected)}, "
-            f"got {sorted(assignment)}"
+            f"got {sorted(assignment, key=str)}"
         )
     inputs_only = {}
     for v in controllables:
@@ -546,8 +546,8 @@ def _reference_entry(proposal, names: list[str]) -> dict | str:
     if not isinstance(proposal, Mapping):
         return "proposal must be an object of variable assignments"
     if proposal.keys() != set(names):
-        missing = sorted(set(names) - proposal.keys())
-        extra = sorted(proposal.keys() - set(names))
+        missing = sorted(set(names) - proposal.keys(), key=str)
+        extra = sorted(proposal.keys() - set(names), key=str)
         parts = [f"missing {missing}"] if missing else []
         if extra:
             parts.append(f"unknown {extra}")

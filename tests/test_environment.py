@@ -151,6 +151,8 @@ def test_run_experiment_checks_bindings():
         run_experiment(env, {"m": 1.0})
     with pytest.raises(ValueError):
         run_experiment(env, {"m": 1.0, "h": 1.0, "extra": 2.0})
+    with pytest.raises(ValueError, match=r"got \[1, 'h', 'm'\]"):
+        run_experiment(env, {"m": 1.0, "h": 1.0, 1: 2.0})
 
 
 def test_out_of_domain_names_variable():

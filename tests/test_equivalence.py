@@ -16,7 +16,6 @@ from eqgym.expr import (
     EquivalenceVerdict,
     UnboundVariableError,
     VariableDomain,
-    _sampled,
     equivalent,
     evaluate,
     evaluate_columns,
@@ -230,7 +229,6 @@ def test_sample_columns_are_right_on_racing_threads():
         for t, row in enumerate(seeds) for i, seed in enumerate(row)
         for j in range(len(domains))
     }
-    _sampled.cache_clear()
     start = threading.Barrier(8)
     got = {}
 

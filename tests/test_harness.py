@@ -152,8 +152,8 @@ def test_default_parallelism_honours_cpu_affinity(monkeypatch):
 
 
 @pytest.mark.parametrize("forked, http, budget, capped, split", [
-    # No HTTP cell: the whole budget forks.
-    (32, 0, 32, True, (32, 0)),
+    # No HTTP cell: the whole budget forks, and the threads go unused.
+    (32, 0, 32, True, (32, 32)),
     # Only HTTP cells: threads, capped when the budget counts CPUs.
     (0, 32, 32, True, (0, HTTP_PARALLEL_CAP)),
     (0, 16, 16, False, (0, 16)),
@@ -178,7 +178,7 @@ def test_fork_pool_and_threads_share_one_budget(forked, http, budget, capped, sp
     if sys.platform.startswith("linux") or split[0] == 0:
         assert _split_budget(threaded, budget, capped) == split
     else:
-        assert _split_budget(threaded, budget, capped) == (0, split[1] or budget)
+        assert _split_budget(threaded, budget, capped) == (0, split[1])
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +279,32 @@ def test_run_session_non_finite_proposals_are_notices():
     skipped = [text for _, text in transcript["notices"] if "finite" in text]
     assert len(skipped) == 6
     json.dumps(transcript, allow_nan=False)
+
+
+def test_run_session_mixed_type_proposal_keys_are_a_notice():
+    @dataclass
+    class MixedKeys:
+        name: str = "mixed_keys"
+
+        def build(self, session):
+            return self
+
+        def act(self, packet):
+            from eqgym.agents import AgentTurn
+            return AgentTurn([{"F": 1.0, 1: 2.0, "x": 3.0}, {"F": 1.0, "k": 10.0}],
+                             False, "")
+
+        def close(self):
+            pass
+
+    transcript = run_session(ENVS["hooke"], "L1", MixedKeys(), seed=7,
+                             experiments_quota=2, test_quota=0)
+    assert transcript["kind"] == "transcript"
+    assert transcript["status"] == "exhausted"
+    assert transcript["experiments"] == [{"F": 1.0, "k": 10.0, "x": 0.1}] * 2
+    assert [text for _, text in transcript["notices"]] == [
+        "experiment proposal skipped: bad variable set: missing ['k'], unknown [1, 'x']",
+    ] * 2
 
 
 # --------------------------------------------------------------------------
@@ -679,6 +705,75 @@ def test_mixed_plan_hands_the_threads_budget_to_the_pool(tmp_path):
 
 
 @linux_only
+def test_forked_plan_hands_every_chunk_to_the_pool_by_its_first_document(
+        monkeypatch):
+    # With no cell on a thread, no chunk waits for a slot: a worker that
+    # waited would idle while the caller encodes a chunk's documents.
+    submits = []
+    submit = ProcessPoolExecutor.submit
+
+    def recording(self, *args, **kwargs):
+        submits.append(args[1:])
+        return submit(self, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", recording)
+    plan = small_plan(agents=[PowerLawAgentFactory(), RandomAgentFactory()],
+                      parallelism=2)
+    cells = list(_cells(plan))
+    stream = _run_cells(plan, cells, 2)
+    documents = [next(stream)]
+    # 12 cells on 2 workers: 12 chunks of one cell, six times the budget.
+    assert submits == [(index, index + 1) for index in range(12)]
+    documents.extend(stream)
+    assert [d["kind"] for d in documents] == ["transcript"] * 12
+
+
+@linux_only
+def test_mixed_plan_hands_every_chunk_left_to_the_pool_once_http_cells_end(
+        tmp_path, monkeypatch):
+    # The plan of test_mixed_plan_hands_the_threads_budget_to_the_pool,
+    # its HTTP cells first so that every chunk is left when they end.
+    on_threads, on_pool, waits = set(), [], []
+    thread_submit, pool_submit, wait = (ThreadPoolExecutor.submit,
+                                        ProcessPoolExecutor.submit, harness.wait)
+
+    def thread_recording(self, *args, **kwargs):
+        future = thread_submit(self, *args, **kwargs)
+        on_threads.add(future)
+        return future
+
+    def pool_recording(self, *args, **kwargs):
+        on_pool.append(pool_submit(self, *args, **kwargs))
+        return on_pool[-1]
+
+    def wait_recording(futures, **kwargs):
+        waits.append((set(futures), len(on_threads), len(on_pool)))
+        return wait(futures, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", thread_recording)
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", pool_recording)
+    monkeypatch.setattr(harness, "wait", wait_recording)
+    turns = tmp_path / "turns"
+    slow = [SlowPowerLaw(turns, delay=0.01, name=name) for name in ("slow_a", "slow_b")]
+    transport = ChatTransport(delay=0.005)
+    http = HttpAgentFactory("inproc://test", transport=transport)
+    plan = mixed_plan([http, *slow], parallelism=2)
+    cells = sorted(_cells(plan), key=lambda cell: cell[2] is not http)
+    documents = list(_run_cells(plan, cells, 2))
+    assert [d["kind"] for d in documents] == ["transcript"] * 18
+    assert len(on_threads) == 6 and len(on_pool) == 12
+    # The first wait after the last HTTP cell ended holds every chunk not
+    # yet done, more than the budget's two slots.
+    futures, submitted = next((futures, submitted)
+                              for futures, started, submitted in waits
+                              if started == 6 and not futures & on_threads)
+    assert submitted == 12
+    assert len(futures) > 2
+    # While the last HTTP cell runs, the chunks still need slots.
+    assert most_at_once(slow[0].turns() + transport.calls) == 2
+
+
+@linux_only
 def test_http_cells_waiting_for_a_thread_leave_the_budget_to_the_pool(
         tmp_path, monkeypatch):
     # The default budget of 3 CPUs, with one thread for HTTP cells.
@@ -1036,8 +1131,8 @@ def test_import_eqgym_leaves_the_http_client_unloaded():
 
 @pytest.mark.parametrize("blocked", [False, True], ids=["numpy-present", "numpy-blocked"])
 def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
-    # numpy is imported by the column oracle, the power-law fit and the
-    # report's means only; with every numpy import blocked, the rest works.
+    # numpy is imported by the column oracle and the power-law fit only;
+    # with every numpy import blocked, the rest works, the report included.
     envs = Path(eqgym.__file__).resolve().parent / "envs"
     proc = run_python("-c", (
         "import sys\n"
@@ -1064,11 +1159,18 @@ def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
         "                   'current_hypothesis_formula': 'x'})\n"
         "reply = serialize_turn(turn)\n"
         "step('wire')\n"
+        "solved = dict(transcript, status='solved', solved=True)\n"
+        "report = eqgym.harness.report_text([transcript, solved], list(envs.values()),\n"
+        "                                   by_difficulty=True, overlap=True)\n"
+        "step('report')\n"
         "print(loaded, code, transcript['status'], transcript['experiments_used'],\n"
-        "      wire == packet.to_wire(), reply['current_hypothesis_formula'])"
+        "      wire == packet.to_wire(), reply['current_hypothesis_formula'])\n"
+        "print(report.split('\\n')[1])"
     ))
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[-2] == "[] 0 exhausted 100 True x"
+    assert proc.stdout.split("\n")[-3] == "[] 0 exhausted 100 True x"
+    # The solved copy's means: 100 experiments, 0 tests, 35 turns.
+    assert proc.stdout.split("\n")[-2] == "random\tL1\t50.0\t100.0\t0.0\t35.0\t0.0\t0.0"
 
 
 @linux_only

@@ -549,3 +549,15 @@ def test_proposal_binding_a_dummy_is_skipped_free():
     assert out.notices == [
         "experiment proposal skipped: bad variable set: unknown ['theta_0']"]
     assert session.experiments_remaining == 5
+
+
+def test_proposal_with_keys_of_mixed_types_is_skipped_free():
+    # The notice lists the keys in the order of their text: sorted() alone
+    # cannot order 1 against "x".
+    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5)
+    out = session.submit_turn(turn([{"F": 1.0, 1: 2.0, "x": 3.0}]))
+    assert out.executed == [] and out.malformed == 1
+    assert out.notices == [
+        "experiment proposal skipped: bad variable set: missing ['k'], unknown [1, 'x']"]
+    assert session.experiments_remaining == 5
+    assert session.status == "active"
