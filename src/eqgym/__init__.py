@@ -35,7 +35,6 @@ from .session import (
     Session,
     TerminalSession,
     WireFormatError,
-    new_session,
 )
 from .evaluation import (
     AggregateReport,
@@ -77,7 +76,6 @@ __all__ = [
     "load_file", "load_spec", "run_experiment", "spec_to_dict",
     # sessions
     "ObservationPacket", "Session", "TerminalSession", "WireFormatError",
-    "new_session",
     # evaluation
     "AggregateReport", "FitReport", "aggregate", "difficulty",
     "fit_report", "oracle_test",

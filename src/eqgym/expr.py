@@ -1119,7 +1119,9 @@ def _eval_columns(expr, columns, n, nodes):
 
 # (id(truth), domains key, seed) -> (truth, columns, values, valid mask, valid
 # count).  Holding the truth pins its id; keying on the tree itself would
-# hash it, which costs as much as a walk.
+# hash it, which costs as much as a walk.  A run judges every level and
+# agent of one environment replicate on one seed, so those cells share an
+# entry.
 _TRUTHS: dict[tuple, tuple] = {}
 _TRUTHS_MAX = 64
 

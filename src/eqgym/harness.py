@@ -53,7 +53,7 @@ from .session import (
     ACTIVE,
     DEFAULT_EXPERIMENTS_QUOTA,
     DEFAULT_TEST_QUOTA,
-    new_session,
+    Session,
 )
 
 HTTP_PARALLEL_CAP = 8
@@ -132,13 +132,24 @@ def plan_hash(plan: RunPlan) -> str:
     return hashlib.sha256(document.encode("utf-8")).hexdigest()[:16]
 
 
-def cell_seed(plan_seed: int, env_id: str, level: str, agent: str,
-              replicate: int) -> int:
+def _seed(*parts) -> int:
     # Stable across processes and plan composition: adding cells to a plan
     # never changes the seed of an existing cell.
-    key = f"{plan_seed}\x1f{env_id}\x1f{level}\x1f{agent}\x1f{replicate}"
+    key = "\x1f".join(map(str, parts))
     digest = hashlib.sha256(key.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "big")
+
+
+def cell_seed(plan_seed: int, env_id: str, level: str, agent: str,
+              replicate: int) -> int:
+    """The agent's seed, logged as a transcript's `seed`."""
+    return _seed(plan_seed, env_id, level, agent, replicate)
+
+
+def judge_seed(plan_seed: int, env_id: str, replicate: int) -> int:
+    """The oracle's seed, shared by every level and agent of one
+    environment replicate; no cell seed's key starts with "judge"."""
+    return _seed("judge", plan_seed, env_id, replicate)
 
 
 @dataclass
@@ -158,20 +169,23 @@ def run_session(
     experiments_quota: int = DEFAULT_EXPERIMENTS_QUOTA,
     test_quota: int = DEFAULT_TEST_QUOTA,
     seed: int = 0,
+    judge_seed: int | None = None,
 ) -> dict:
-    """Drive one agent/environment session to a terminal state.
+    """Drive one agent/environment session to a terminal state; the oracle
+    judges on `judge_seed`, or on `seed` when it is None.
 
     Any agent-side exception turns into a protocol_failure transcript;
     a turn that moves nothing (no experiments, no hypothesis, no test)
     ends the session as exhausted, and so does reaching
     experiments_quota + test_quota + 8 turns.
     """
-    session = new_session(
+    session = Session(
         env, level,
         experiments_quota=experiments_quota,
         test_quota=test_quota,
         seed=seed,
         agent_name=factory.name,
+        judge_seed=judge_seed,
     )
     agent = None
     try:
@@ -224,6 +238,7 @@ def _run_cell(plan: RunPlan, env, level, factory, replicate) -> dict:
             experiments_quota=plan.experiments_quota,
             test_quota=plan.test_quota,
             seed=seed,
+            judge_seed=judge_seed(plan.seed, env.env_id, replicate),
         )
         transcript["replicate"] = replicate
         return transcript

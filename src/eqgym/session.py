@@ -164,6 +164,7 @@ class Session:
         test_quota: int = DEFAULT_TEST_QUOTA,
         seed: int = 0,
         agent_name: str = "",
+        judge_seed: int | None = None,
     ):
         if isinstance(mask, str):
             if mask not in LEVELS:
@@ -177,6 +178,8 @@ class Session:
         self.shown_env = shown_environment(env, mask)
         self.header = render_observation(env, mask)
         self.seed = seed
+        # The oracle's seed; a run passes one per environment replicate.
+        self.judge_seed = seed if judge_seed is None else judge_seed
         self.agent_name = agent_name
         self.experiments_quota = experiments_quota
         self.test_quota = test_quota
@@ -334,7 +337,7 @@ class Session:
     def _run_oracle(self, hypothesis: HypothesisRecord) -> EquivalenceVerdict:
         self.tests_remaining -= 1
         true_expr = rename_variables(hypothesis.parsed, self._to_true)
-        verdict = evaluation.oracle_test(self.env, true_expr, seed=self.seed)
+        verdict = evaluation.oracle_test(self.env, true_expr, seed=self.judge_seed)
         hypothesis.verdict = verdict
         self.last_tested = hypothesis
         if verdict.equivalent:
@@ -401,6 +404,3 @@ class Session:
             "notices": [[turn, text] for turn, text in self.notices],
             "failure_reason": self.failure_reason,
         }
-
-
-new_session = Session

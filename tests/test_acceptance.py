@@ -35,7 +35,7 @@ from eqgym.expr import (
     sample_assignments,
 )
 from eqgym.harness import build_plan, execute
-from eqgym.session import ACTIVE, ObservationPacket, TerminalSession, new_session
+from eqgym.session import ACTIVE, ObservationPacket, Session, TerminalSession
 
 ENVS = {env.env_id: env for env in bundled_environments()}
 
@@ -251,7 +251,7 @@ def test_criterion_4_session_accounting_invariants():
         while turns_done < 10_000:
             env = envs[session_index % len(envs)]
             session_index += 1
-            session = new_session(
+            session = Session(
                 env,
                 rng.choice(("L1", "L2", "L3", "L4")),
                 experiments_quota=rng.randrange(0, 8),
@@ -301,7 +301,7 @@ def test_criterion_4_session_accounting_invariants():
 def test_criterion_5_masking_leak_freedom():
     with criterion(5, "L4 transcripts leak no true names; L2 hides context", 5.0):
         for env in ENVS.values():
-            session = new_session(env, "L4", experiments_quota=20,
+            session = Session(env, "L4", experiments_quota=20,
                                   test_quota=2, seed=99)
             agent = RandomAgentFactory(batch=5).build(session)
             while session.status == ACTIVE and session.experiments_remaining > 0:
@@ -313,7 +313,7 @@ def test_criterion_5_masking_leak_freedom():
             leaked = tokens & true_names
             assert not leaked, (env.env_id, sorted(leaked))
         for env in ENVS.values():
-            packet = new_session(env, "L2").observation_packet()
+            packet = Session(env, "L2").observation_packet()
             assert packet.problem_description == "Unknown context."
 
 
@@ -398,7 +398,7 @@ def test_criterion_7_wire_protocol_golden():
         assert packet.quota == {"experiments_quota": 10, "test_quota": 2}
         assert packet.last_oracle_result is None
 
-        fresh = new_session(
+        fresh = Session(
             ENVS["hooke"], "L1", experiments_quota=10, test_quota=2
         ).observation_packet()
         assert fresh.to_wire() == GOLDEN_INPUT

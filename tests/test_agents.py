@@ -40,14 +40,14 @@ from eqgym.agents import (
 from eqgym.environment import bundled_environments
 from eqgym.expr import VariableDomain
 from eqgym.harness import build_plan, execute, run_session
-from eqgym.session import ACTIVE, SOLVED, ObservationPacket, new_session
+from eqgym.session import ACTIVE, SOLVED, ObservationPacket, Session
 
 ENVS = {env.env_id: env for env in bundled_environments()}
 
 
 def drive(env, factory, mask="L1", max_turns=15, **kwargs):
     """Run a session to completion the way the harness does."""
-    session = new_session(env, mask, agent_name=factory.name, **kwargs)
+    session = Session(env, mask, agent_name=factory.name, **kwargs)
     agent = factory.build(session)
     try:
         for _ in range(max_turns):
@@ -234,7 +234,7 @@ def test_rationalized_falls_back_to_float():
 
 def test_random_agent_proposes_in_domain():
     env = ENVS["hooke"]
-    session = new_session(env, "L1", seed=11)
+    session = Session(env, "L1", seed=11)
     agent = RandomAgentFactory(batch=4).build(session)
     turn = agent.act(session.observation_packet())
     assert len(turn.next_experiments) == 4
@@ -251,7 +251,7 @@ def test_random_agent_deterministic():
     env = ENVS["hooke"]
     turns = []
     for _ in range(2):
-        session = new_session(env, "L1", seed=42)
+        session = Session(env, "L1", seed=42)
         agent = RandomAgentFactory().build(session)
         turns.append(serialize_turn(agent.act(session.observation_packet())))
     assert turns[0] == turns[1]
@@ -298,7 +298,7 @@ def test_power_law_gives_up_on_non_monomial():
 
 def test_power_law_design_is_one_factor_at_a_time():
     env = ENVS["env_716"]
-    session = new_session(env, "L1", seed=0)
+    session = Session(env, "L1", seed=0)
     agent = PowerLawAgentFactory().build(session)
     turn = agent.act(session.observation_packet())
     assert len(turn.next_experiments) == 11
@@ -345,7 +345,7 @@ def test_subprocess_round_trip_is_byte_identical(tmp_path):
             "current_hypothesis_formula": json.dumps(doc),
         }))
         """))
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(command)
     try:
         packet = session.observation_packet()
@@ -366,7 +366,7 @@ def test_subprocess_retry_carries_error_notice(tmp_path):
         else:
             print("garbage")
         """))
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(command)
     try:
         turn = agent.act(session.observation_packet())
@@ -377,7 +377,7 @@ def test_subprocess_retry_carries_error_notice(tmp_path):
 
 def test_subprocess_protocol_error_after_retries(tmp_path):
     command = agent_script(tmp_path, 'print("never valid")\n')
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(command)
     exchanges = []
     exchange = agent._exchange
@@ -407,7 +407,7 @@ def test_subprocess_reply_nested_too_deeply_is_retried(tmp_path):
         else:
             print("[" * 100000)
         """))
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(command)
     try:
         turn = agent.act(session.observation_packet())
@@ -437,7 +437,7 @@ def test_subprocess_reply_with_a_too_long_number_is_retried(tmp_path):
         else:
             print('{"next_experiments": [{"F": ' + "9" * 5000 + '}]}')
         """))
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(command)
     try:
         turn = agent.act(session.observation_packet())
@@ -451,7 +451,7 @@ def test_subprocess_reply_with_a_too_long_number_is_retried(tmp_path):
 def test_subprocess_death_is_transport_error(tmp_path):
     path = tmp_path / "dead.py"
     path.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = SubprocessAgent(f"{sys.executable} {path}")
     try:
         with pytest.raises(TransportError):
@@ -560,7 +560,7 @@ def test_http_agent_request_shape(monkeypatch):
             ' "current_hypothesis_formula": "F / k"}\n```'
         )
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     turn = agent.act(session.observation_packet())
 
@@ -590,7 +590,7 @@ def test_http_agent_retries_then_succeeds():
         prompts.append(json.loads(body)["messages"][0]["content"])
         return replies.pop(0)
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     turn = agent.act(session.observation_packet())
     assert turn.next_experiments == []
@@ -605,7 +605,7 @@ def test_http_agent_protocol_error():
         bodies.append(body)
         return chat_reply("still no json")
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     with pytest.raises(ProtocolError):
         agent.act(session.observation_packet())
@@ -617,7 +617,7 @@ def test_http_agent_bad_reply_shape_is_transport_error():
     def transport(url, headers, body):
         return json.dumps({"error": "overloaded"})
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     with pytest.raises(TransportError):
         agent.act(session.observation_packet())
@@ -644,7 +644,7 @@ def test_http_envelope_nested_too_deeply_is_a_transport_error():
     def transport(url, headers, body):
         return "[" * 100_000
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     with pytest.raises(TransportError, match="^endpoint reply was not chat-completion shaped$"):
         agent.act(session.observation_packet())
@@ -672,14 +672,14 @@ def test_http_envelope_with_a_too_long_number_is_a_transport_error():
     def transport(url, headers, body):
         return '{"choices": [{"message": {"content": "{}"}}], "id": ' + "9" * 5000 + "}"
 
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     with pytest.raises(TransportError, match="^endpoint reply was not chat-completion shaped$"):
         agent.act(session.observation_packet())
 
 
 def test_build_prompt_includes_notice():
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     text = build_prompt("TEMPLATE", session.observation_packet(), "try again",
                         agents.PacketEncoder(indent=2))
     assert text.startswith("TEMPLATE")
@@ -727,7 +727,7 @@ def chat_stub():
 @pytest.mark.parametrize("key", ["sk-test", ""])
 def test_urllib_transport_sends_the_protocol_request(chat_stub, monkeypatch, key):
     monkeypatch.setenv("EQGYM_STUB_KEY", key)
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     agent = HttpAgentFactory(chat_stub.url, model="stub",
                              api_key_env="EQGYM_STUB_KEY").build(session)
     packet = session.observation_packet()
@@ -913,7 +913,7 @@ def reference_prompt(template, packet, error_notice=None):
 def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, kind, level):
     env = ENVS["env_409"]
     env = replace(env, context=env.context + " Près du bord, ε₀ ≈ 8.85 pF/m (円盤).")
-    session = new_session(env, level, experiments_quota=40, test_quota=4, seed=5)
+    session = Session(env, level, experiments_quota=40, test_quota=4, seed=5)
     agent = policy_agent(kind, tmp_path)
     sent = []  # (text, the same exchange encoded from to_wire)
     if kind == "subprocess":
@@ -969,7 +969,7 @@ def test_wire_text_is_the_json_of_to_wire_on_every_turn(tmp_path, monkeypatch, k
 
 
 def test_packet_encoder_re_encodes_entries_it_did_not_send():
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     first = session.observation_packet()
     session.submit_turn(AgentTurn([{"F": 1.0, "k": 2.0}, {"F": 3.0, "k": 4.0}], False, ""))
     packet = session.observation_packet()
@@ -988,7 +988,7 @@ def test_packet_encoder_re_encodes_entries_it_did_not_send():
 def test_packet_encoder_reuses_header_text_only_while_it_is_the_same_in_order():
     # The encoder keeps the text of the three problem-statement members;
     # each packet below must still be encoded as json.dumps would.
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     session.submit_turn(AgentTurn([{"F": 1.0 + i, "k": 2.0} for i in range(3)], False, ""))
     packet = session.observation_packet()
     controllable = packet.controllable_variables
@@ -1023,7 +1023,7 @@ def test_packet_encoder_reuses_header_text_only_while_it_is_the_same_in_order():
 
 
 def test_build_prompt_escapes_each_template_it_is_given():
-    session = new_session(ENVS["hooke"], "L1", seed=5)
+    session = Session(ENVS["hooke"], "L1", seed=5)
     packet = session.observation_packet()
     plain = agents.PacketEncoder(indent=2)
     quoted = agents.PacketEncoder(indent=2, quoted=True)
@@ -1044,7 +1044,7 @@ def test_header_members_and_template_are_encoded_once_per_agent(tmp_path, monkey
         encoded.append(obj)
         return dumps(obj, *args, **kwargs)
 
-    session = new_session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
+    session = Session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
     agent = policy_agent(kind, tmp_path)
     monkeypatch.setattr(json, "dumps", counting)
     try:
@@ -1124,7 +1124,7 @@ def test_each_history_entry_is_encoded_once_per_agent(tmp_path, monkeypatch, kin
         encoded.append(obj)
         return dumps(obj, *args, **kwargs)
 
-    session = new_session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
+    session = Session(ENVS["hooke"], "L1", experiments_quota=60, test_quota=3, seed=5)
     agent = policy_agent(kind, tmp_path)
     turns = []  # the turn of each history entry
     monkeypatch.setattr(json, "dumps", counting)

@@ -14,7 +14,7 @@ import pytest
 from eqgym.agents import RandomAgent, RandomAgentFactory
 from eqgym.environment import LEVELS, bundled_environments, run_experiment, shown_environment
 from eqgym.expr import DomainError, Value, VariableDomain, sample_assignments
-from eqgym.session import Session, new_session
+from eqgym.session import Session
 from gen import reference_experiments, reference_run_experiment, reference_sample
 
 QUOTA = 1600
@@ -79,7 +79,7 @@ def test_edge_domains_reach_every_branch():
 @pytest.mark.parametrize("level", ["L1", "L4"])
 def test_random_agent_draws_match_the_reference(level):
     for env in bundled_environments():
-        session = new_session(env, level, experiments_quota=QUOTA, test_quota=0, seed=17)
+        session = Session(env, level, experiments_quota=QUOTA, test_quota=0, seed=17)
         agent = RandomAgentFactory(batch=3).build(session)
         by_true = env.domains()
         domains = {d: by_true[t] for d, t in session.header.name_map.items()}

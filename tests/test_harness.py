@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import eqgym
-from eqgym import harness
+from eqgym import evaluation, expr, harness
 from eqgym.agents import HttpAgentFactory, PowerLawAgentFactory, RandomAgentFactory
 from eqgym.environment import bundled_environments, load_spec, spec_to_dict
 from eqgym.harness import (
@@ -30,6 +30,7 @@ from eqgym.harness import (
     build_plan,
     cell_seed,
     execute,
+    judge_seed,
     load_run,
     main,
     plan_hash,
@@ -107,6 +108,23 @@ def test_cell_seed_is_stable_and_distinct():
     }
     assert a not in others
     assert len(others) == 5
+    # The judge seed: one per (plan seed, environment, replicate), whatever
+    # the level or agent, and never the seed of a cell.
+    j = judge_seed(0, "hooke", 0)
+    assert j == judge_seed(0, "hooke", 0)
+    judges = {
+        judge_seed(0, "env_716", 0),
+        judge_seed(0, "hooke", 1),
+        judge_seed(1, "hooke", 0),
+    }
+    assert j not in judges
+    assert len(judges) == 3
+    cells = {
+        cell_seed(0, "hooke", level, agent, 0)
+        for level in ("L1", "L2", "L3", "L4")
+        for agent in ("power_law", "random")
+    }
+    assert j not in cells and a in cells
 
 
 def test_plan_hash_tracks_content():
@@ -327,6 +345,53 @@ def test_execute_covers_every_cell(tmp_path):
     assert record.errors == []
     keys = {(t["env_id"], t["level"]) for t in record.transcripts}
     assert len(keys) == 6
+
+
+def test_one_environment_replicate_samples_the_judges_points_once(monkeypatch):
+    # Every level of one replicate is judged on one point set, so the truth
+    # cache fills once per replicate, not once per cell.
+    calls = []
+    original = expr.sample_columns
+
+    def counting(domains, n, seed):
+        calls.append(seed)
+        return original(domains, n, seed)
+
+    monkeypatch.setattr(expr, "_TRUTHS", {})
+    monkeypatch.setattr(expr, "sample_columns", counting)
+    plan = build_plan([ENVS["hooke"]], ["L1", "L2", "L3", "L4"],
+                      [PowerLawAgentFactory()], seed=3, replicates=2,
+                      parallelism=1)
+    record = execute(plan)
+    assert len(record.transcripts) == 8
+    assert all(t["tests_used"] >= 1 for t in record.transcripts)
+    assert calls == [judge_seed(3, "hooke", 0), judge_seed(3, "hooke", 1)]
+    for t in record.transcripts:
+        assert t["seed"] == cell_seed(3, "hooke", t["level"], t["agent"], t["replicate"])
+
+
+def test_the_judge_seed_follows_from_the_run_log(tmp_path, monkeypatch):
+    judged = []
+    original = evaluation.oracle_test
+
+    def recording(env, hypothesis, seed=0):
+        judged.append(seed)
+        return original(env, hypothesis, seed=seed)
+
+    monkeypatch.setattr(evaluation, "oracle_test", recording)
+    plan = small_plan(agents=[PowerLawAgentFactory(), RandomAgentFactory()],
+                      replicates=2, parallelism=1)
+    execute(plan, out_dir=tmp_path / "run")
+    lines = (tmp_path / "run" / "run.jsonl").read_text(encoding="utf-8").splitlines()
+    documents = [json.loads(line) for line in lines]
+    plan_line = documents[0]
+    expected = [
+        judge_seed(plan_line["seed"], t["env_id"], t["replicate"])
+        for t in documents if t["kind"] == "transcript"
+        for _ in range(t["tests_used"])
+    ]
+    assert len(expected) >= 12
+    assert judged == expected
 
 
 def test_execute_is_byte_identical_across_executions(tmp_path):
@@ -1141,7 +1206,7 @@ def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
         "def step(name): loaded.append(name) if sys.modules.get('numpy') else None\n"
         "import eqgym\n"
         "from eqgym.agents import parse_turn, serialize_turn\n"
-        "from eqgym.session import ObservationPacket, new_session\n"
+        "from eqgym.session import ObservationPacket, Session\n"
         "step('import')\n"
         "envs = {env.env_id: env for env in eqgym.bundled_environments()}\n"
         "step('bundled_environments')\n"
@@ -1152,7 +1217,7 @@ def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
         "step('run_session')\n"
         f"code = eqgym.harness.main(['validate', '--envs', {str(envs)!r}])\n"
         "step('validate')\n"
-        "packet = new_session(envs['kepler'], 'L2', seed=1).observation_packet()\n"
+        "packet = Session(envs['kepler'], 'L2', seed=1).observation_packet()\n"
         "wire = ObservationPacket.from_wire(packet.to_wire()).to_wire()\n"
         "turn = parse_turn({'next_experiments': [{'x': 1.0}],\n"
         "                   'test_hypothesis_flag': True,\n"

@@ -14,13 +14,12 @@ from eqgym.environment import (
     spec_to_dict,
 )
 from eqgym.expr import EQUIV_POINTS
-from eqgym.harness import run_session
+from eqgym.harness import cell_seed, judge_seed, run_session
 from eqgym.session import (
     ObservationPacket,
     Session,
     TerminalSession,
     WireFormatError,
-    new_session,
 )
 
 
@@ -37,7 +36,7 @@ def turn(experiments=None, flag=False, formula=""):
 
 
 def test_fresh_packet_echoes_quotas():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
     packet = session.observation_packet()
     assert packet.problem_description == env_by_id("hooke").context
     assert list(packet.controllable_variables) == ["F", "k"]
@@ -49,7 +48,7 @@ def test_fresh_packet_echoes_quotas():
 
 
 def test_experiments_consume_quota_and_flatten():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
     out = session.submit_turn(turn([{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": -1.0}]))
     assert len(out.executed) == 2
     assert session.experiments_remaining == 8
@@ -77,7 +76,7 @@ def test_experiments_consume_quota_and_flatten():
     ]),
 ])
 def test_history_matches_records_after_every_turn(env_id, level, turns):
-    session = new_session(env_by_id(env_id), level, experiments_quota=20)
+    session = Session(env_by_id(env_id), level, experiments_quota=20)
     expected = []
     for experiments in turns:
         expected += session.submit_turn(turn(experiments)).executed
@@ -91,7 +90,7 @@ def test_history_matches_records_after_every_turn(env_id, level, turns):
 
 
 def test_packet_list_is_not_the_history():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10)
     expected = session.submit_turn(
         turn([{"F": 1.0, "k": 10.0}, {"F": 2.0, "k": 5.0}])).executed
     assert expected == [{"F": 1.0, "k": 10.0, "x": 0.1}, {"F": 2.0, "k": 5.0, "x": 0.4}]
@@ -111,7 +110,7 @@ def test_each_experiment_is_recorded_once_as_its_history_entry():
     def same_objects(got, want):
         return len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
-    session = new_session(env_by_id("multi_energy"), "L1", experiments_quota=400, seed=11)
+    session = Session(env_by_id("multi_energy"), "L1", experiments_quota=400, seed=11)
     agent = agent_from_spec("scripted:random").build(session)
     entries = []
     while session.experiments_remaining:
@@ -206,7 +205,7 @@ def test_the_oracle_gets_the_parsed_tree_unless_names_change(level, monkeypatch)
         return original(env, hypothesis, seed=seed)
 
     monkeypatch.setattr(evaluation, "oracle_test", recording)
-    session = new_session(env_by_id("hooke"), level, test_quota=2)
+    session = Session(env_by_id("hooke"), level, test_quota=2)
     formula = "F / k" if level == "L1" else "var_1 / var_2"
     assert session.submit_turn(turn(flag=True, formula=formula)).oracle.equivalent
     parsed = session.hypotheses[0].parsed
@@ -233,7 +232,7 @@ def test_an_overflowing_input_is_named_in_display_names():
         ],
         "equation": "2 * secret_mass",
     })
-    session = new_session(env, "L4", experiments_quota=5)
+    session = Session(env, "L4", experiments_quota=5)
     out = session.submit_turn(turn([{"var_1": 1e301}, {"var_1": 3.0}]))
     assert out.executed == [
         {"var_1": 1e301, "invalid": "overflow: var_1"},
@@ -244,7 +243,7 @@ def test_an_overflowing_input_is_named_in_display_names():
 
 
 def test_malformed_proposals_cost_nothing():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
     out = session.submit_turn(turn([
         {"F": 1.0},                      # missing k
         {"F": 1.0, "k": 1.0, "z": 2.0},  # unknown name
@@ -260,7 +259,7 @@ def test_malformed_proposals_cost_nothing():
 
 
 def test_non_finite_proposals_cost_nothing():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
     # Python's json decodes all of these; none is a finite float.
     decoded = json.loads(
         '[{"F": NaN, "k": 1.0}, {"F": 1.0, "k": Infinity}, {"F": -Infinity, "k": 1.0},'
@@ -284,7 +283,7 @@ def test_non_finite_proposals_cost_nothing():
 
 
 def test_proposal_notice_follows_its_own_order_and_entry_the_controllables():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
     out = session.submit_turn(turn([{"k": math.nan, "F": "high"}, {"k": 2, "F": 1.0}]))
     assert out.notices == ["experiment proposal skipped: value for k must be a finite number"]
     assert list(out.executed[0].items()) == [("F", 1.0), ("k", 2.0), ("x", 0.5)]
@@ -292,7 +291,7 @@ def test_proposal_notice_follows_its_own_order_and_entry_the_controllables():
 
 
 def test_overbudget_proposals_dropped_with_notice():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=3, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=3, test_quota=2)
     proposals = [{"F": float(i + 1), "k": 10.0} for i in range(5)]
     out = session.submit_turn(turn(proposals))
     assert len(out.executed) == 3
@@ -302,7 +301,7 @@ def test_overbudget_proposals_dropped_with_notice():
 
 
 def test_hypothesis_parse_failure_not_fatal():
-    session = new_session(env_by_id("hooke"), "L1")
+    session = Session(env_by_id("hooke"), "L1")
     out = session.submit_turn(turn(formula="F / / k"))
     assert out.hypothesis_recorded
     assert out.parse_failure is not None
@@ -311,7 +310,7 @@ def test_hypothesis_parse_failure_not_fatal():
 
 
 def test_tall_formula_is_a_parse_failure():
-    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", test_quota=2)
     started = time.perf_counter()
     out = session.submit_turn(turn(flag=True, formula="F/k" + "+0*F" * 1_000_000))
     assert time.perf_counter() - started < 2  # a 4 MB formula, rejected early
@@ -330,7 +329,7 @@ def test_long_balanced_formula_is_read_to_its_end():
     formula = "F"
     for _ in range(15):
         formula = "(" + formula + " +\u3000" + formula + ")"
-    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", test_quota=2)
     started = time.perf_counter()
     out = session.submit_turn(turn(flag=True, formula=formula + " $"))
     assert time.perf_counter() - started < 5
@@ -340,7 +339,7 @@ def test_long_balanced_formula_is_read_to_its_end():
 
 
 def test_true_names_are_unknown_under_l4():
-    session = new_session(env_by_id("hooke"), "L4")
+    session = Session(env_by_id("hooke"), "L4")
     out = session.submit_turn(turn(formula="F / k"))
     assert out.parse_failure is not None
     assert "unknown identifiers" in out.parse_failure
@@ -349,7 +348,7 @@ def test_true_names_are_unknown_under_l4():
 
 
 def test_oracle_success_solves():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
     out = session.submit_turn(turn(flag=True, formula="F / k"))
     assert out.oracle is not None
     assert out.oracle.equivalent
@@ -359,7 +358,7 @@ def test_oracle_success_solves():
 
 
 def test_oracle_failure_reports_back():
-    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", test_quota=2)
     out = session.submit_turn(turn(flag=True, formula="F * k"))
     assert out.oracle is not None and not out.oracle.equivalent
     assert session.status == "active"
@@ -368,8 +367,40 @@ def test_oracle_failure_reports_back():
     assert packet.last_oracle_result == {"formula": "F * k", "equivalent": False}
 
 
+def test_one_replicate_judges_every_level_and_agent_on_one_point_set():
+    env = env_by_id("hooke")
+    judge = judge_seed(5, "hooke", 0)
+    verdicts = []
+    for level, formula in (("L1", "F/k + F**2/1e6"), ("L4", "var_1/var_2 + var_1**2/1e6")):
+        for agent in ("power_law", "random"):
+            session = Session(env, level, test_quota=1, judge_seed=judge,
+                              seed=cell_seed(5, "hooke", level, agent, 0))
+            verdicts.append(session.submit_turn(turn(flag=True, formula=formula)).oracle)
+    assert len({v.points_compared for v in verdicts}) == 1
+    assert len({v.max_rel_error.hex() for v in verdicts}) == 1
+    other = Session(env, "L1", test_quota=1, judge_seed=judge_seed(5, "hooke", 1))
+    verdict = other.submit_turn(turn(flag=True, formula="F/k + F**2/1e6")).oracle
+    assert verdict.max_rel_error != verdicts[0].max_rel_error
+
+
+def test_a_session_without_a_judge_seed_judges_on_its_seed(monkeypatch):
+    judged = []
+    original = evaluation.oracle_test
+
+    def recording(env, hypothesis, seed=0):
+        judged.append(seed)
+        return original(env, hypothesis, seed=seed)
+
+    monkeypatch.setattr(evaluation, "oracle_test", recording)
+    env = env_by_id("hooke")
+    session = Session(env, "L1", test_quota=1, seed=11)
+    out = session.submit_turn(turn(flag=True, formula="F/k + F**2/1e6"))
+    assert judged == [11]
+    assert out.oracle == original(env, expr.parse("F/k + F**2/1e6"), seed=11)
+
+
 def test_masked_oracle_uses_display_names():
-    session = new_session(env_by_id("hooke"), "L4", test_quota=2)
+    session = Session(env_by_id("hooke"), "L4", test_quota=2)
     out = session.submit_turn(turn(flag=True, formula="var_1 / var_2"))
     assert out.oracle is not None
     assert out.oracle.equivalent
@@ -377,7 +408,7 @@ def test_masked_oracle_uses_display_names():
 
 
 def test_hypothesis_naming_a_dummy_costs_no_test():
-    session = new_session(env_by_id("pendulum"), "L1", test_quota=2)
+    session = Session(env_by_id("pendulum"), "L1", test_quota=2)
     assert list(session.observation_packet().controllable_variables) == ["l", "g"]
     out = session.submit_turn(
         turn(flag=True, formula="2*np.pi*np.sqrt(l/g)*theta_0/theta_0"))
@@ -391,7 +422,7 @@ def test_hypothesis_naming_a_dummy_costs_no_test():
 def test_hypothesis_undefined_where_the_law_is_defined_is_rejected():
     # F - 5 < 0 on most of hooke's F domain, so the hypothesis agrees with
     # F / k only where it is defined.
-    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", test_quota=2)
     out = session.submit_turn(
         turn(flag=True, formula="F/k*np.sqrt(F-5)/np.sqrt(F-5)"))
     assert out.oracle is not None and not out.oracle.equivalent
@@ -410,7 +441,7 @@ def test_hypothesis_undefined_where_the_law_is_defined_is_rejected():
 ])
 def test_hypothesis_that_overflows_where_the_law_is_defined_is_rejected(formula):
     # Each reduces to F / k on paper, but overflows at most of the points.
-    session = new_session(env_by_id("hooke"), "L1", test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", test_quota=2)
     out = session.submit_turn(turn(flag=True, formula=formula))
     assert out.oracle is not None and not out.oracle.equivalent
     assert out.oracle.method == "numeric"
@@ -420,7 +451,7 @@ def test_hypothesis_that_overflows_where_the_law_is_defined_is_rejected(formula)
 
 
 def test_test_skipped_notices():
-    session = new_session(env_by_id("hooke"), "L1", test_quota=1)
+    session = Session(env_by_id("hooke"), "L1", test_quota=1)
     out = session.submit_turn(turn(flag=True))
     assert out.oracle is None
     assert any("no hypothesis" in n for n in out.notices)
@@ -434,7 +465,7 @@ def test_test_skipped_notices():
 
 
 def test_exhaustion_when_both_quotas_hit_zero():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=1, test_quota=1)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=1, test_quota=1)
     out = session.submit_turn(turn(
         [{"F": 1.0, "k": 1.0}], flag=True, formula="F * k"))
     assert out.status == "exhausted"
@@ -442,14 +473,14 @@ def test_exhaustion_when_both_quotas_hit_zero():
 
 
 def test_solved_wins_over_exhaustion():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=1, test_quota=1)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=1, test_quota=1)
     out = session.submit_turn(turn(
         [{"F": 1.0, "k": 1.0}], flag=True, formula="F / k"))
     assert out.status == "solved"
 
 
 def test_turn_index_counts_every_submit():
-    session = new_session(env_by_id("hooke"), "L1")
+    session = Session(env_by_id("hooke"), "L1")
     session.submit_turn(turn())
     session.submit_turn(turn())
     assert session.turn_index == 2
@@ -459,7 +490,7 @@ def test_turn_index_counts_every_submit():
 def test_display_space_validity_reason():
     import re
 
-    session = new_session(env_by_id("env_409"), "L4", experiments_quota=10)
+    session = Session(env_by_id("env_409"), "L4", experiments_quota=10)
     proposal = {"var_1": 1.0, "var_2": 1.0, "var_3": 0.5, "var_4": 0.9}
     out = session.submit_turn(turn([proposal]))
     reason = out.executed[0]["invalid"]
@@ -470,7 +501,7 @@ def test_display_space_validity_reason():
 
 
 def test_transcript_excludes_priors_and_timing():
-    session = new_session(env_by_id("hooke"), "L4", experiments_quota=5, test_quota=2,
+    session = Session(env_by_id("hooke"), "L4", experiments_quota=5, test_quota=2,
                           seed=7, agent_name="tester")
     session.submit_turn(turn([{"var_1": 1.0, "var_2": 2.0}], formula="var_1"))
     doc = session.transcript()
@@ -484,10 +515,10 @@ def test_transcript_excludes_priors_and_timing():
 
 
 def test_finish_and_fail():
-    session = new_session(env_by_id("hooke"), "L1")
+    session = Session(env_by_id("hooke"), "L1")
     session.finish()
     assert session.status == "exhausted"
-    session2 = new_session(env_by_id("hooke"), "L1")
+    session2 = Session(env_by_id("hooke"), "L1")
     session2.fail("agent crashed")
     assert session2.status == "protocol_failure"
     assert session2.transcript()["failure_reason"] == "agent crashed"
@@ -496,7 +527,7 @@ def test_finish_and_fail():
 
 
 def test_packet_wire_round_trip():
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
     session.submit_turn(turn([{"F": 1.0, "k": 10.0}], flag=True, formula="F * k"))
     packet = session.observation_packet()
     wire = packet.to_wire()
@@ -534,16 +565,16 @@ def test_packet_wire_errors(broken):
 
 
 def test_new_session_level_labels():
-    session = new_session(env_by_id("hooke"), "L3")
+    session = Session(env_by_id("hooke"), "L3")
     assert session.mask == LEVELS["L3"]
     with pytest.raises(ValueError):
-        new_session(env_by_id("hooke"), "L5")
+        Session(env_by_id("hooke"), "L5")
     direct = Session(env_by_id("hooke"), LEVELS["L2"])
     assert direct.mask == LEVELS["L2"]
 
 
 def test_proposal_binding_a_dummy_is_skipped_free():
-    session = new_session(env_by_id("pendulum"), "L1", experiments_quota=5)
+    session = Session(env_by_id("pendulum"), "L1", experiments_quota=5)
     out = session.submit_turn(turn([{"l": 1.0, "g": 9.8, "theta_0": 0.1}]))
     assert out.executed == [] and out.malformed == 1
     assert out.notices == [
@@ -554,7 +585,7 @@ def test_proposal_binding_a_dummy_is_skipped_free():
 def test_proposal_with_keys_of_mixed_types_is_skipped_free():
     # The notice lists the keys in the order of their text: sorted() alone
     # cannot order 1 against "x".
-    session = new_session(env_by_id("hooke"), "L1", experiments_quota=5)
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5)
     out = session.submit_turn(turn([{"F": 1.0, 1: 2.0, "x": 3.0}]))
     assert out.executed == [] and out.malformed == 1
     assert out.notices == [
