@@ -11,6 +11,12 @@ in the caller's process, where a custom transport's state stays visible.
 A mixed plan runs both at once, and they share one worker budget; the
 thread that reads the documents starts the cells, in cell order, while it
 waits for the next one.  The harness starts no thread of its own.
+
+Each cell's log line is encoded where the cell ran, in the worker process
+or on the cell thread, by the one module-level encoder, so the bytes do
+not depend on where a cell ran.  The caller writes the lines in cell
+order and keeps the documents for the run's record; it encodes only the
+plan and environment lines.  A run without a log encodes no line at all.
 """
 
 from __future__ import annotations
@@ -230,21 +236,34 @@ def _cells(plan: RunPlan):
                     yield env, level, factory, replicate
 
 
-def _run_cell(plan: RunPlan, env, level, factory, replicate) -> dict:
+def _run_cell(plan: RunPlan, encode: bool, env, level, factory,
+              replicate) -> Logged:
     seed = cell_seed(plan.seed, env.env_id, level, factory.name, replicate)
     try:
-        transcript = run_session(
+        document = run_session(
             env, level, factory,
             experiments_quota=plan.experiments_quota,
             test_quota=plan.test_quota,
             seed=seed,
             judge_seed=judge_seed(plan.seed, env.env_id, replicate),
         )
-        transcript["replicate"] = replicate
-        return transcript
+        document["replicate"] = replicate
     except Exception as err:
-        return _error_document(plan, env, level, factory, replicate,
-                               f"{type(err).__name__}: {err}")
+        document = _error_document(plan, env, level, factory, replicate,
+                                   f"{type(err).__name__}: {err}")
+    return _logged(document, encode)
+
+
+# json.dumps's own encoder without its cycle bookkeeping: no logged
+# document contains itself.
+_LOG_ENCODER = json.JSONEncoder(check_circular=False)
+
+# A cell's document and its log line, None when no log is written.
+Logged = tuple[dict, str | None]
+
+
+def _logged(document: dict, encode: bool) -> Logged:
+    return document, _LOG_ENCODER.encode(document) if encode else None
 
 
 def _error_document(plan: RunPlan, env, level, factory, replicate,
@@ -295,13 +314,16 @@ def _split_budget(threaded: list[bool], budget: int,
     return 0, threads
 
 
-def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
-    """Yield every cell's document, in cell order.
+def _run_cells(plan: RunPlan, cells: list, budget: int,
+               encode: bool) -> Iterator[Logged]:
+    """Yield every cell's document with its log line, in cell order.
 
     On Linux with a budget above one, the non-HTTP cells run in chunks on
     a fork-started process pool (see _split_budget).  HTTP cells run on
     threads in the caller, where a custom transport's state stays visible,
-    and so does every cell when there is no pool.
+    and so does every cell when there is no pool.  Where a cell runs, its
+    line is encoded too (None unless encode), so the caller only writes
+    it; a dead worker's cells get error documents encoded here.
 
     The caller schedules while it waits for its next document.  It starts
     units (a cell on a thread, or a chunk) in cell order, each while it
@@ -311,10 +333,9 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
     threads.  A chunk needs a slot only while a cell on a thread waits or
     runs.  After that (from the start, in a plan without HTTP cells), the
     caller submits every chunk left the next time it waits: the pool has
-    no more workers than the budget, and a worker waiting for a slot would
-    idle while the caller encodes a chunk's documents.  Nothing starts
-    while the caller is away, so a caller that stops reading starts no
-    more units.
+    no more workers than the budget, so a chunk queued on it takes no slot
+    from any cell.  Nothing starts while the caller is away, so a caller
+    that stops reading starts no more units.
     """
     threaded = [isinstance(cell[2], HttpAgentFactory) for cell in cells]
     processes, threads = _split_budget(threaded, budget, plan.parallelism is None)
@@ -337,7 +358,7 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
         index = (http if on_thread else chunks).popleft()
         try:
             if on_thread:
-                future = thread_pool.submit(_run_cell, plan, *cells[index])
+                future = thread_pool.submit(_run_cell, plan, encode, *cells[index])
             else:
                 future = fork_pool.submit(_run_indexed_cells, *chunk_at[index])
         except RuntimeError as err:  # a broken or shut-down pool
@@ -346,7 +367,7 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
         started[index] = future
         running[future] = on_thread
 
-    def result(index: int) -> dict | list[dict]:
+    def result(index: int) -> Logged | list[Logged]:
         while True:
             for future in [future for future in running if future.done()]:
                 del running[future]
@@ -367,8 +388,8 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
             # Fork first: the pool forks all its workers on its first
             # submit, before any thread of this run starts, so no worker
             # inherits a lock that one of them held at the fork.
-            fork_pool = _fork_pool(plan, forked_cells, processes)
-            forked = _forked_documents(plan, forked_cells, fork_pool,
+            fork_pool = _fork_pool(plan, forked_cells, processes, encode)
+            forked = _forked_documents(plan, forked_cells, fork_pool, encode,
                                        map(result, list(chunks)))
             start(on_thread=False)
         for index, on_thread in enumerate(threaded):
@@ -382,36 +403,39 @@ def _run_cells(plan: RunPlan, cells: list, budget: int) -> Iterator[dict]:
         thread_pool.shutdown()
 
 
-# The plan and its cells inside a forked pool worker, set once by the
-# pool's initializer; tasks are ranges of cell indexes into it.
-_worker_cells: tuple[RunPlan, list] | None = None
+# The plan, its cells and whether to encode their lines inside a forked
+# pool worker, set once by the pool's initializer; tasks are ranges of
+# cell indexes into it.
+_worker_cells: tuple[RunPlan, list, bool] | None = None
 
 
-def _adopt_cells(plan: RunPlan, cells: list) -> None:
+def _adopt_cells(plan: RunPlan, cells: list, encode: bool) -> None:
     global _worker_cells
-    _worker_cells = (plan, cells)
+    _worker_cells = (plan, cells, encode)
 
 
-def _run_indexed_cells(start: int, stop: int) -> list[dict]:
-    plan, cells = _worker_cells
-    return [_run_cell(plan, *cells[index]) for index in range(start, stop)]
+def _run_indexed_cells(start: int, stop: int) -> list[Logged]:
+    plan, cells, encode = _worker_cells
+    return [_run_cell(plan, encode, *cells[index]) for index in range(start, stop)]
 
 
-def _fork_pool(plan: RunPlan, cells: list, workers: int) -> ProcessPoolExecutor:
+def _fork_pool(plan: RunPlan, cells: list, workers: int,
+               encode: bool) -> ProcessPoolExecutor:
     # Fork, named explicitly: spawn and forkserver (the Linux default from
     # Python 3.14) re-import numpy and eqgym in every worker of every run.
     # A forked worker inherits the plan through initargs, so factories,
     # environments and transports are never pickled; only index ranges go
-    # out and lists of transcript dicts come back.  numpy is loaded here,
-    # before the fork, so that the workers share one loaded copy instead of
-    # each importing it and starting its own OpenBLAS threads.
+    # out and lists of (transcript dict, line) pairs come back.  numpy is
+    # loaded here, before the fork, so that the workers share one loaded
+    # copy instead of each importing it and starting its own OpenBLAS
+    # threads.
     import numpy
 
     return ProcessPoolExecutor(
         max_workers=workers,
         mp_context=multiprocessing.get_context("fork"),
         initializer=_adopt_cells,
-        initargs=(plan, cells),
+        initargs=(plan, cells, encode),
     )
 
 
@@ -423,13 +447,13 @@ def _chunk_ranges(count: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
-                      chunks: Iterator[list[dict]]) -> Iterator[dict]:
-    """Yield the documents of each chunk's results, in order."""
+                      encode: bool, chunks: Iterator[list[Logged]]) -> Iterator[Logged]:
+    """Yield the (document, line) pairs of each chunk's results, in order."""
     done = 0
     try:
         for chunk in chunks:
-            for document in chunk:
-                yield document
+            for pair in chunk:
+                yield pair
                 done += 1
     except BrokenProcessPool:
         # A worker died (os._exit, a signal, the OOM killer) and broke the
@@ -443,23 +467,19 @@ def _forked_documents(plan: RunPlan, cells: list, pool: ProcessPoolExecutor,
             for p in forked if p.exitcode not in (0, -signal.SIGTERM)
         ) or "a pool worker died"
         for cell in cells[done:]:
-            yield _error_document(
+            yield _logged(_error_document(
                 plan, *cell, f"BrokenProcessPool: {dead} before this cell finished"
-            )
-
-
-# json.dumps's own encoder without its cycle bookkeeping: no logged
-# document contains itself.
-_LOG_ENCODER = json.JSONEncoder(check_circular=False)
+            ), encode)
 
 
 def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
     """Execute every cell of the plan.
 
-    Cells run in parallel; the log sink is single-threaded and flushes in
-    cell order after each result, so an interrupted run leaves a valid
-    prefix.  Returns the record either way; files are written only when
-    out_dir is given.
+    Cells run in parallel, and each cell's log line is encoded where it
+    ran.  This thread writes the lines in cell order and flushes after
+    each, so an interrupted run leaves a valid prefix; it keeps the
+    documents for the record.  Returns the record either way; files are
+    written, and lines encoded, only when out_dir is given.
     """
     started = time.perf_counter()
     cells = list(_cells(plan))
@@ -473,24 +493,25 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
 
     documents: list[dict] = []  # transcripts and error documents, in cell order
 
-    def emit(document: dict) -> None:
-        if sink is not None:
-            sink.write(_LOG_ENCODER.encode(document) + "\n")
-            sink.flush()
+    def write(line: str) -> None:
+        sink.write(line + "\n")
+        sink.flush()
 
     digest, version = plan_hash(plan), _version()
     try:
-        emit({"kind": "plan", "plan_hash": digest, "version": version,
-              **plan.identity()})
-        for env in plan.environments:
-            emit({
-                "kind": "environment",
-                "env_id": env.env_id,
-                "spec": spec_to_dict(env),
-            })
-        for document in _run_cells(plan, cells, workers):
+        if sink is not None:
+            write(_LOG_ENCODER.encode({"kind": "plan", "plan_hash": digest,
+                                       "version": version, **plan.identity()}))
+            for env in plan.environments:
+                write(_LOG_ENCODER.encode({
+                    "kind": "environment",
+                    "env_id": env.env_id,
+                    "spec": spec_to_dict(env),
+                }))
+        for document, line in _run_cells(plan, cells, workers, sink is not None):
             documents.append(document)
-            emit(document)
+            if sink is not None:
+                write(line)
     finally:
         if sink is not None:
             sink.close()

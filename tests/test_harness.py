@@ -19,6 +19,7 @@ from eqgym import evaluation, expr, harness
 from eqgym.agents import HttpAgentFactory, PowerLawAgentFactory, RandomAgentFactory
 from eqgym.environment import bundled_environments, load_spec, spec_to_dict
 from eqgym.harness import (
+    _LOG_ENCODER,
     HTTP_PARALLEL_CAP,
     EmptyRun,
     PlanError,
@@ -565,10 +566,28 @@ def mixed_plan(agents, parallelism):
     return small_plan(agents=agents, test_quota=2, parallelism=parallelism)
 
 
-def cell_order(run_dir, plan):
+def cell_lines(run_dir, plan):
     lines = (run_dir / "run.jsonl").read_text().splitlines()
-    cells = [json.loads(line) for line in lines][1 + len(plan.environments):]
+    return lines[1 + len(plan.environments):]
+
+
+def cell_order(run_dir, plan):
+    cells = [json.loads(line) for line in cell_lines(run_dir, plan)]
     return [(d["env_id"], d["level"], d["agent"]) for d in cells]
+
+
+def count_encodes(monkeypatch, path):
+    """Make every process that runs _LOG_ENCODER.encode append its pid to
+    path, and return a reader of those pids."""
+    encode = _LOG_ENCODER.encode
+
+    def counting(document):
+        with open(path, "a", encoding="utf-8") as out:
+            out.write(f"{os.getpid()}\n")
+        return encode(document)
+
+    monkeypatch.setattr(_LOG_ENCODER, "encode", counting)
+    return lambda: [int(pid) for pid in path.read_text().split()] if path.exists() else []
 
 
 @linux_only
@@ -595,6 +614,40 @@ def test_execute_fork_pool_writes_the_thread_pool_log(tmp_path):
     # threads, a worker's on the pool, whose side effects stay there.
     assert len(threaded.builds) == 24
     assert forked.builds == []
+
+
+@linux_only
+def test_execute_encodes_each_cell_line_in_the_worker_that_ran_it(
+        tmp_path, monkeypatch):
+    def plan(parallelism):
+        return small_plan(agents=[PowerLawAgentFactory(), RandomAgentFactory()],
+                          parallelism=parallelism)
+
+    execute(plan(1), out_dir=tmp_path / "threads")
+    pids = count_encodes(monkeypatch, tmp_path / "encodes")
+    forked = plan(2)
+    record = execute(forked, out_dir=tmp_path / "fork")
+    assert len(record.transcripts) == 12 and record.errors == []
+    # The parent encodes the plan line and one line per environment; the
+    # workers encode the 12 cell lines, with the same bytes.
+    encoders = pids()
+    assert encoders.count(os.getpid()) == 1 + len(forked.environments)
+    assert len(encoders) == 1 + len(forked.environments) + 12
+    assert (
+        (tmp_path / "threads" / "run.jsonl").read_bytes()
+        == (tmp_path / "fork" / "run.jsonl").read_bytes()
+    )
+
+
+@linux_only
+@pytest.mark.parametrize("parallelism", [2, 1])
+def test_execute_without_a_log_encodes_no_line(tmp_path, monkeypatch, parallelism):
+    # Forked cells, HTTP cells on threads, and at 1 every cell on a thread.
+    pids = count_encodes(monkeypatch, tmp_path / "encodes")
+    http = HttpAgentFactory("inproc://test", transport=ChatTransport())
+    record = execute(mixed_plan([PowerLawAgentFactory(), http], parallelism))
+    assert len(record.transcripts) == 12 and record.errors == []
+    assert pids() == []
 
 
 def test_execute_keeps_http_plans_in_the_callers_process(tmp_path):
@@ -634,6 +687,10 @@ def test_execute_survives_a_dying_pool_worker(tmp_path):
         for level in plan.levels
         for factory in plan.agents
     ]
+    # Every logged line, the parent's error documents too, is the log
+    # encoder's bytes for one document of the record.
+    assert sorted(cell_lines(tmp_path / "run", plan)) == sorted(
+        map(_LOG_ENCODER.encode, record.transcripts + record.errors))
     summary = json.loads((tmp_path / "run" / "run_record.json").read_text())
     assert len(summary["cells"]) == 12
 
@@ -647,8 +704,10 @@ def test_closing_the_cell_stream_cancels_queued_thread_cells():
                       test_quota=2, parallelism=2)
     cells = list(_cells(plan))
     assert len(cells) == 40
-    stream = _run_cells(plan, cells, 2)
-    assert next(stream)["turn_count"] == 3
+    stream = _run_cells(plan, cells, 2, encode=True)
+    document, line = next(stream)
+    assert document["turn_count"] == 3
+    assert line == _LOG_ENCODER.encode(document)
     stream.close()
     # Cells 0 and 1 started together, and each thread may have picked up
     # one more cell; none of the other 36 starts.
@@ -666,8 +725,10 @@ def test_closing_the_cell_stream_stops_threads_waiting_for_a_slot(tmp_path):
     assert len(cells) == 80
     # Two slots: the first chunk of forked cells holds one and cell 0 the
     # other.
-    stream = _run_cells(plan, cells, 2)
-    assert next(stream)["agent"] == "http"
+    stream = _run_cells(plan, cells, 2, encode=True)
+    document, line = next(stream)
+    assert document["agent"] == "http"
+    assert line == _LOG_ENCODER.encode(document)
     stream.close()
     # While the caller waited for cell 0, cell 2 took the chunk's slot
     # when the chunk ended.  The caller starts units only while it waits
@@ -692,8 +753,10 @@ def test_closing_the_cell_stream_starts_nothing_on_the_read_cells_slot(
                             name="slow")
     plan = build_plan([ENVS["hooke"], ENVS["env_716"]], ["L1"], [fast, slow],
                       test_quota=2, parallelism=2)
-    stream = _run_cells(plan, list(_cells(plan)), 2)
-    assert next(stream)["agent"] == "fast"
+    stream = _run_cells(plan, list(_cells(plan)), 2, encode=True)
+    document, line = next(stream)
+    assert document["agent"] == "fast"
+    assert line == _LOG_ENCODER.encode(document)
     stream.close()
     assert len(submits) == 2
 
@@ -749,6 +812,8 @@ def test_mixed_plan_forks_before_any_thread_and_keeps_the_budget(tmp_path):
     # forked cells are done, the HTTP cells take the whole budget.
     assert most_at_once(slow.turns() + transport.calls) == 2
     assert most_at_once(transport.calls) == 2
+    assert cell_lines(tmp_path / "run", plan) == [
+        _LOG_ENCODER.encode(document) for document in record.transcripts]
 
 
 @linux_only
@@ -772,8 +837,8 @@ def test_mixed_plan_hands_the_threads_budget_to_the_pool(tmp_path):
 @linux_only
 def test_forked_plan_hands_every_chunk_to_the_pool_by_its_first_document(
         monkeypatch):
-    # With no cell on a thread, no chunk waits for a slot: a worker that
-    # waited would idle while the caller encodes a chunk's documents.
+    # With no cell on a thread, no chunk waits for a slot: the pool has no
+    # more workers than the budget.
     submits = []
     submit = ProcessPoolExecutor.submit
 
@@ -785,12 +850,13 @@ def test_forked_plan_hands_every_chunk_to_the_pool_by_its_first_document(
     plan = small_plan(agents=[PowerLawAgentFactory(), RandomAgentFactory()],
                       parallelism=2)
     cells = list(_cells(plan))
-    stream = _run_cells(plan, cells, 2)
-    documents = [next(stream)]
+    stream = _run_cells(plan, cells, 2, encode=True)
+    pairs = [next(stream)]
     # 12 cells on 2 workers: 12 chunks of one cell, six times the budget.
     assert submits == [(index, index + 1) for index in range(12)]
-    documents.extend(stream)
-    assert [d["kind"] for d in documents] == ["transcript"] * 12
+    pairs.extend(stream)
+    assert [d["kind"] for d, _ in pairs] == ["transcript"] * 12
+    assert all(line == _LOG_ENCODER.encode(d) for d, line in pairs)
 
 
 @linux_only
@@ -824,8 +890,9 @@ def test_mixed_plan_hands_every_chunk_left_to_the_pool_once_http_cells_end(
     http = HttpAgentFactory("inproc://test", transport=transport)
     plan = mixed_plan([http, *slow], parallelism=2)
     cells = sorted(_cells(plan), key=lambda cell: cell[2] is not http)
-    documents = list(_run_cells(plan, cells, 2))
-    assert [d["kind"] for d in documents] == ["transcript"] * 18
+    pairs = list(_run_cells(plan, cells, 2, encode=True))
+    assert [d["kind"] for d, _ in pairs] == ["transcript"] * 18
+    assert all(line == _LOG_ENCODER.encode(d) for d, line in pairs)
     assert len(on_threads) == 6 and len(on_pool) == 12
     # The first wait after the last HTTP cell ended holds every chunk not
     # yet done, more than the budget's two slots.
@@ -948,6 +1015,10 @@ def test_mixed_plan_survives_a_dying_pool_worker(tmp_path):
         for level in plan.levels
         for factory in plan.agents
     ]
+    # Every logged line, the parent's error documents too, is the log
+    # encoder's bytes for one document of the record.
+    assert sorted(cell_lines(tmp_path / "run", plan)) == sorted(
+        map(_LOG_ENCODER.encode, record.transcripts + record.errors))
 
 
 # --------------------------------------------------------------------------
