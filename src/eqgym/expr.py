@@ -17,9 +17,9 @@ import math
 import operator
 import random
 import re
-import threading
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
+from itertools import repeat, starmap
 from typing import Union
 
 UNARY_OPS = frozenset({
@@ -932,62 +932,32 @@ def sample_columns(
     """The points of sample_assignments(domains, n, seed), bit for bit, as
     one read-only array per variable.
 
-    For an int seed the draws come from numpy's legacy Mersenne Twister
-    (one per thread), seeded exactly as random.seed(seed) seeds the
-    standard library's; NEP 19 freezes its stream, and its doubles are
-    built from 53 bits as random.random() builds them.  Other seeds, and
-    a draw that its domain rejects, replay sample_assignments."""
+    The same random.Random(seed).random() draws, in the same row-major
+    order, are mapped column by column through draw()'s arithmetic (libm's
+    exp, not np.exp, which differs in the last bit).  A draw that its
+    domain rejects shifts every later draw, so then sample_assignments is
+    replayed."""
     _numpy()
-    key = tuple(sorted(domains.items()))
-    return dict(zip(sorted(domains), _sampled(key, n, seed)))
-
-
-_GENERATORS = threading.local()
-
-
-def _uniforms(seed: int, count: int) -> np.ndarray:
-    """random.Random(seed).random(), `count` times, drawn in C."""
-    rng = getattr(_GENERATORS, "rng", None)
-    if rng is None:
-        rng = _GENERATORS.rng = np.random.RandomState()
-    # random.seed(int) runs init_by_array on abs(seed)'s 32-bit words, least
-    # significant first, as RandomState.seed does given a list (an array of
-    # one word would be squeezed and seeded by init_genrand).
-    rest = abs(seed)
-    rng.seed([(rest >> shift) & 0xFFFFFFFF for shift in range(0, max(rest.bit_length(), 1), 32)])
-    return rng.random_sample(count)
-
-
-def _sampled(key: tuple, n: int, seed: int) -> tuple[np.ndarray, ...]:
-    # The same random() draws in the same order as sample_assignments,
-    # mapped through the same arithmetic as random.uniform and sample().
-    columns = _drawn(key, n, seed) if type(seed) is int else None
-    if columns is None:
-        points = sample_assignments(dict(key), n, seed)
-        columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
-    for column in columns:
-        column.flags.writeable = False
-    return tuple(columns)
-
-
-def _drawn(key: tuple, n: int, seed: int) -> list[np.ndarray] | None:
-    draws = _uniforms(seed, n * len(key)).reshape(n, len(key))
-    columns, logged = [], []
+    key = sorted(domains.items())
+    count = n * len(key)
+    # random.Random(seed).random(), count times, each call made from C.
+    uniform = starmap(random.Random(seed).random, repeat((), count))
+    draws = np.fromiter(uniform, float, count).reshape(n, len(key))
+    columns = []
     for j, (_, domain) in enumerate(key):
         lo, span, log = domain.draw_plan[:3]
+        column = lo + span * draws[:, j]
         if log:
-            logged.append(j)
-        columns.append(lo + span * draws[:, j])
-    if logged:  # libm's exp, not np.exp, which differs in the last bit
-        exps = np.concatenate([columns[j] for j in logged]).tolist()
-        exps = np.fromiter(map(math.exp, exps), float, len(exps))
-        for i, j in enumerate(logged):
-            columns[j] = exps[i * n:(i + 1) * n]
-    for column, (_, domain) in zip(columns, key):
+            column = np.fromiter(map(math.exp, column.tolist()), float, n)
         # A domain is an interval, and a NaN anywhere makes min and max NaN.
         if not (domain.contains(column.min()) and domain.contains(column.max())):
-            return None  # a rejected draw shifts every later draw
-    return columns
+            points = sample_assignments(domains, n, seed)
+            columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
+            break
+        columns.append(column)
+    for column in columns:
+        column.flags.writeable = False
+    return {name: column for (name, _), column in zip(key, columns)}
 
 
 # Stands in for points that are already invalid before a math function is
@@ -1121,9 +1091,10 @@ def _eval_columns(expr, columns, n, nodes):
 # count).  Holding the truth pins its id; keying on the tree itself would
 # hash it, which costs as much as a walk.  A run judges every level and
 # agent of one environment replicate on one seed, so those cells share an
-# entry.
+# entry.  Cells come back to each replicate in turn, so the bound holds a
+# plan's replicates (6-24 KiB an entry); one clear is atomic under threads.
 _TRUTHS: dict[tuple, tuple] = {}
-_TRUTHS_MAX = 64
+_TRUTHS_MAX = 256
 
 
 @dataclass(frozen=True)

@@ -216,12 +216,13 @@ def test_sample_columns_match_sample_assignments_over_seed_lengths():
     for domains in _twin_domain_sets():
         for seed in seeds:
             _assert_same_points(domains, 200, seed)
-    # Seeds that are not ints are replayed point by point.
+    # Seeds that are not ints take the same column path.
     for seed in (True, 2.5, "abc", b"abc"):
         _assert_same_points(_twin_domain_sets()[0], 50, seed)
 
 
 def test_sample_columns_are_right_on_racing_threads():
+    # Threads racing on sample_columns each get sample_assignments' points.
     domains = _twin_domain_sets()
     seeds = [[t * 1000 + i for i in range(40)] for t in range(8)]
     expected = {
@@ -240,7 +241,7 @@ def test_sample_columns_are_right_on_racing_threads():
 
     threads = [threading.Thread(target=draw, args=(t,)) for t in range(8)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # switch threads between reseed and draw
+    sys.setswitchinterval(1e-6)  # switch threads in the middle of each draw
     try:
         for thread in threads:
             thread.start()

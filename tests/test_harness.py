@@ -348,9 +348,9 @@ def test_execute_covers_every_cell(tmp_path):
     assert len(keys) == 6
 
 
-def test_one_environment_replicate_samples_the_judges_points_once(monkeypatch):
-    # Every level of one replicate is judged on one point set, so the truth
-    # cache fills once per replicate, not once per cell.
+def _judged_hooke(monkeypatch, replicates):
+    """Run hooke x L1-L4 with the power-law agent on one thread, and return
+    the record and the seeds that the judge's points were sampled for."""
     calls = []
     original = expr.sample_columns
 
@@ -361,14 +361,29 @@ def test_one_environment_replicate_samples_the_judges_points_once(monkeypatch):
     monkeypatch.setattr(expr, "_TRUTHS", {})
     monkeypatch.setattr(expr, "sample_columns", counting)
     plan = build_plan([ENVS["hooke"]], ["L1", "L2", "L3", "L4"],
-                      [PowerLawAgentFactory()], seed=3, replicates=2,
+                      [PowerLawAgentFactory()], seed=3, replicates=replicates,
                       parallelism=1)
     record = execute(plan)
-    assert len(record.transcripts) == 8
+    assert len(record.transcripts) == 4 * replicates
     assert all(t["tests_used"] >= 1 for t in record.transcripts)
+    return record, calls
+
+
+def test_one_environment_replicate_samples_the_judges_points_once(monkeypatch):
+    # Every level of one replicate is judged on one point set, so the truth
+    # cache fills once per replicate, not once per cell.
+    record, calls = _judged_hooke(monkeypatch, replicates=2)
     assert calls == [judge_seed(3, "hooke", 0), judge_seed(3, "hooke", 1)]
     for t in record.transcripts:
         assert t["seed"] == cell_seed(3, "hooke", t["level"], t["agent"], t["replicate"])
+
+
+def test_many_replicates_sample_the_judges_points_once_each(monkeypatch):
+    # Cells come back to each replicate in turn, so a truth cache that
+    # cleared itself below the plan's replicate count would refill every
+    # replicate on every test.
+    _, calls = _judged_hooke(monkeypatch, replicates=70)
+    assert sorted(calls) == sorted(judge_seed(3, "hooke", r) for r in range(70))
 
 
 def test_the_judge_seed_follows_from_the_run_log(tmp_path, monkeypatch):
@@ -1307,6 +1322,44 @@ def test_work_that_judges_nothing_leaves_numpy_unloaded(blocked):
     assert proc.stdout.split("\n")[-3] == "[] 0 exhausted 100 True x"
     # The solved copy's means: 100 experiments, 0 tests, 35 turns.
     assert proc.stdout.split("\n")[-2] == "random\tL1\t50.0\t100.0\t0.0\t35.0\t0.0\t0.0"
+
+
+@linux_only
+def test_judging_leaves_numpy_random_unloaded():
+    # The judge draws its points from random.Random, in the parent and in
+    # every fork worker; a worker's later cells build their agents after
+    # its earlier cells were judged.
+    proc = run_python("-c", (
+        "import sys\n"
+        "import numpy\n"
+        "if 'numpy.random' in sys.modules:\n"
+        "    print('eager')\n"
+        "    raise SystemExit\n"
+        "from eqgym import build_plan, bundled_environments, evaluation, execute\n"
+        "from eqgym.agents import PowerLawAgentFactory\n"
+        "class NoNumpyRandom(PowerLawAgentFactory):\n"
+        "    def build(self, session):\n"
+        "        if 'numpy.random' in sys.modules:\n"
+        "            raise RuntimeError('numpy.random is loaded')\n"
+        "        return super().build(session)\n"
+        "loaded = []\n"
+        "def step(name): loaded.append(name) if 'numpy.random' in sys.modules else None\n"
+        "envs = bundled_environments()[:3]\n"
+        "verdict = evaluation.oracle_test(envs[0], envs[0].equation, seed=3)\n"
+        "step('oracle_test')\n"
+        "for parallelism in (1, 2):\n"
+        "    plan = build_plan(envs, ['L1', 'L2', 'L3', 'L4'], [NoNumpyRandom()],\n"
+        "                      parallelism=parallelism)\n"
+        "    record = execute(plan)\n"
+        "    step(parallelism)\n"
+        "    print(len(record.transcripts), record.errors,\n"
+        "          min(t['tests_used'] for t in record.transcripts))\n"
+        "print(verdict.equivalent, loaded)"
+    ))
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout == "eager\n":
+        pytest.skip("this numpy imports numpy.random along with numpy")
+    assert proc.stdout.split("\n") == ["12 [] 1", "12 [] 1", "True []", ""]
 
 
 @linux_only
