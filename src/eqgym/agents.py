@@ -280,18 +280,18 @@ _FLAT = (str, int, float, bool, type(None))
 
 
 class PacketEncoder:
-    """One session's packets as JSON text, each history entry encoded once.
+    """One session's packets as JSON text, each shared object encoded once.
 
     `encode(packet, error_notice)` returns `json.dumps(doc, indent=indent)`
     byte for byte, where doc is `packet.to_wire()` with `error_notice`
-    appended when one is given.  A session's packets share its history
-    entry dicts (see ObservationPacket), so an entry is matched by
-    identity with the one sent at its position last time and its text is
-    reused; only new entries are encoded.  Any other entry, such as one
-    from `ObservationPacket.from_wire`, is encoded afresh.  The problem
-    statement's three members keep their text while their strings stay the
-    same, in order.  A flat object (every history entry, and most header
-    fields) is encoded by the C encoder, the indentation as its separator.
+    appended when one is given.  A session's packets share its read-only
+    history entries, header dicts and last verdict (see ObservationPacket),
+    so each entry or member that is the same object as the one sent in its
+    place last time keeps its text; only new objects are encoded, and
+    nothing is compared by value.  A packet from `ObservationPacket.from_wire`
+    is thus encoded afresh.  A flat object (every history entry, and most
+    other members) is encoded by the C encoder, the indentation as its
+    separator.
 
     A `quoted` encoder returns every text in `form`: escaped as the inside
     of a JSON string literal, ready to be placed between quotes.
@@ -304,8 +304,8 @@ class PacketEncoder:
         self._texts: list[str] = []  # their text, indented for the history array
         members = [*ObservationPacket.__dataclass_fields__, "error_notice"]
         self._keys = {key: self.form(f'"{key}": ') for key in members}
-        # Per header member: its last value's type and shape, and its text.
-        self._headers: dict[str, tuple] = {}
+        # Per shared member: the object sent last, and its text.
+        self._members: dict[str, tuple] = {}
         self._kept = ("", "")  # the last text given to kept_form, and its form
         # The line break that indents each depth, in form.
         self._breaks = [self.form("\n" + " " * ((indent or 0) * depth)) for depth in range(3)]
@@ -333,31 +333,24 @@ class PacketEncoder:
             sent.append(entry)
             texts.append(self._dumps(entry, 2))
         members = [
-            self._header("problem_description", packet.problem_description),
-            self._header("controllable_variables", packet.controllable_variables),
-            self._header("observable_variable", packet.observable_variable),
+            self._member("problem_description", packet.problem_description),
+            self._member("controllable_variables", packet.controllable_variables),
+            self._member("observable_variable", packet.observable_variable),
             self._join("[]", texts, 1, keys["historical_experiments"]),
             keys["quota"] + self._dumps(packet.quota, 1),
         ]
         if packet.last_oracle_result is not None:
-            oracle = self._dumps(packet.last_oracle_result, 1)
-            members.append(keys["last_oracle_result"] + oracle)
+            members.append(self._member("last_oracle_result", packet.last_oracle_result))
         if error_notice is not None:
             members.append(keys["error_notice"] + self._dumps(error_notice, 1))
         return self._join("{}", members, 0)
 
-    def _header(self, key: str, value) -> str:
-        # A dict is compared by its items, in order: JSON keeps their order.
-        shape = list(value.items()) if type(value) is dict else value
-        kept = self._headers.get(key)
-        if kept is not None and kept[0] is type(value) and kept[1] == shape:
-            return kept[2]
-        text = self._keys[key] + self._dumps(value, 1)
-        # Only strings compare equal just when their JSON does: 1 == 1.0 == True.
-        if type(value) is str or type(value) is dict and all(
-                type(k) is str and type(v) is str for k, v in shape):
-            self._headers[key] = (type(value), shape, text)
-        return text
+    def _member(self, key: str, value) -> str:
+        # Holding the object keeps its identity from passing to another.
+        kept = self._members.get(key)
+        if kept is None or kept[0] is not value:
+            kept = self._members[key] = (value, self._keys[key] + self._dumps(value, 1))
+        return kept[1]
 
     def _dumps(self, value, depth: int) -> str:
         if self.indent is None:

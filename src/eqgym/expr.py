@@ -950,7 +950,7 @@ def sample_columns(
         if log:
             column = np.fromiter(map(math.exp, column.tolist()), float, n)
         # A domain is an interval, and a NaN anywhere makes min and max NaN.
-        if not (domain.contains(column.min()) and domain.contains(column.max())):
+        if n > 0 and not (domain.contains(column.min()) and domain.contains(column.max())):
             points = sample_assignments(domains, n, seed)
             columns = [np.array([p[name] for p in points], dtype=float) for name, _ in key]
             break

@@ -582,6 +582,11 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
                                    "tests_used", "turn_count") if k not in document]
             if missing:
                 raise ValueError(f"{log}:{number}: transcript lacks {', '.join(missing)}")
+            hypotheses = document.get("hypotheses", [])
+            if not isinstance(hypotheses, list) or not all(
+                    isinstance(h, dict) and isinstance(h.get("formula"), str) for h in hypotheses):
+                raise ValueError(f"{log}:{number}: transcript hypotheses must be a list "
+                                 "of objects with a string formula")
             transcripts.append(document)
         elif kind == "environment":
             if "spec" not in document:

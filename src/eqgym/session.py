@@ -51,10 +51,11 @@ class ObservationPacket:
     `historical_experiments` is a fresh list, but its entries are the
     session's own history dicts, the same ones that each turn's
     `TurnOutcome.executed` returned and that every later packet and the
-    transcript share: in-process callers must treat them as read-only.
-    `to_wire` copies them.  Remote agents' encoders (`agents.PacketEncoder`)
-    keep the JSON text of each entry they sent (escaped for the request on
-    HTTP), matched by identity, so a mutated entry would leave it stale.
+    transcript share.  The header dicts and `last_oracle_result` are the
+    session's too, shared until the next test: in-process callers must
+    treat them all as read-only.  `to_wire` copies them.  Remote agents'
+    encoders (`agents.PacketEncoder`) reuse each one's JSON text while it
+    is the same object, so a mutated one would leave that text stale.
     """
 
     problem_description: str
@@ -192,32 +193,25 @@ class Session:
         self.hypotheses: list[HypothesisRecord] = []
         self.status = ACTIVE
         self.turn_index = 0
-        self.last_tested: HypothesisRecord | None = None
+        self._last_oracle_result: dict | None = None
         self.notices: list[tuple[int, str]] = []
         self.failure_reason: str | None = None
         # display name -> true name, for the oracle
-        self._to_true = dict(self.header.name_map)
+        self._to_true = self.header.name_map
 
     # -- agent-facing view ---------------------------------------------------
 
     def observation_packet(self) -> ObservationPacket:
         return ObservationPacket(
             problem_description=self.header.problem_description,
-            controllable_variables=dict(self.header.controllable_variables),
-            observable_variable=dict(self.header.observable_variable),
+            controllable_variables=self.header.controllable_variables,
+            observable_variable=self.header.observable_variable,
             historical_experiments=list(self._history),
             quota={
                 "experiments_quota": self.experiments_remaining,
                 "test_quota": self.tests_remaining,
             },
-            last_oracle_result=(
-                {
-                    "formula": self.last_tested.formula,
-                    "equivalent": self.last_tested.verdict.equivalent,
-                }
-                if self.last_tested is not None
-                else None
-            ),
+            last_oracle_result=self._last_oracle_result,
         )
 
     # -- turn processing -----------------------------------------------------
@@ -339,7 +333,8 @@ class Session:
         true_expr = rename_variables(hypothesis.parsed, self._to_true)
         verdict = evaluation.oracle_test(self.env, true_expr, seed=self.judge_seed)
         hypothesis.verdict = verdict
-        self.last_tested = hypothesis
+        self._last_oracle_result = {"formula": hypothesis.formula,
+                                    "equivalent": verdict.equivalent}
         if verdict.equivalent:
             self.status = SOLVED
         return verdict

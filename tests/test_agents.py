@@ -986,8 +986,8 @@ def test_packet_encoder_re_encodes_entries_it_did_not_send():
 
 
 def test_packet_encoder_reuses_header_text_only_while_it_is_the_same_in_order():
-    # The encoder keeps the text of the three problem-statement members;
-    # each packet below must still be encoded as json.dumps would.
+    # The encoder keeps the text of each member while it is the same
+    # object; each packet below must still be encoded as json.dumps would.
     session = Session(ENVS["hooke"], "L1", seed=5)
     session.submit_turn(AgentTurn([{"F": 1.0 + i, "k": 2.0} for i in range(3)], False, ""))
     packet = session.observation_packet()
@@ -1058,6 +1058,11 @@ def test_header_members_and_template_are_encoded_once_per_agent(tmp_path, monkey
     for value in (packet.problem_description, packet.controllable_variables,
                   packet.observable_variable):
         assert sum(type(obj) is type(value) and obj == value for obj in encoded) == 1
+    # Each test's verdict is encoded once, not on every later turn.
+    verdicts = [obj for obj in encoded
+                if type(obj) is dict and obj.keys() == {"formula", "equivalent"}]
+    assert session.tests_remaining == 0
+    assert len(verdicts) == session.test_quota
     escaped = sum(isinstance(obj, str) and load_prompt() in obj for obj in encoded)
     assert escaped == (1 if kind == "http" else 0)
 

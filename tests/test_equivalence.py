@@ -216,6 +216,8 @@ def test_sample_columns_match_sample_assignments_over_seed_lengths():
     for domains in _twin_domain_sets():
         for seed in seeds:
             _assert_same_points(domains, 200, seed)
+        # An empty sample: one empty column per variable.
+        _assert_same_points(domains, 0, seeds[0])
     # Seeds that are not ints take the same column path.
     for seed in (True, 2.5, "abc", b"abc"):
         _assert_same_points(_twin_domain_sets()[0], 50, seed)

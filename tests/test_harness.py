@@ -1088,6 +1088,17 @@ MALFORMED_LOG_LINES = {
         {k: v for k, v in HOOKE_TRANSCRIPT.items() if k != key}, f"transcript lacks {key}")
        for key in ("env_id", "agent", "level", "experiments_used", "tests_used",
                    "turn_count")},
+    # ... and the formula of each of its hypotheses.
+    **{f"transcript-with-{name}": (
+        {**HOOKE_TRANSCRIPT, "hypotheses": hypotheses},
+        "transcript hypotheses must be a list of objects with a string formula")
+       for name, hypotheses in (
+           ("a-hypothesis-without-formula", [{"formula": "F / k"}, {"turn": 1}]),
+           ("a-formula-not-a-string", [{"formula": 2.5}]),
+           ("a-hypothesis-not-an-object", ["F / k"]),
+           ("hypotheses-not-a-list", {"formula": "F / k"}),
+           ("null-hypotheses", None),
+       )},
     "environment-without-context": (
         {"kind": "environment",
          "spec": {k: v for k, v in HOOKE_SPEC.items() if k != "context"}},

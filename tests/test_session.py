@@ -122,6 +122,39 @@ def test_each_experiment_is_recorded_once_as_its_history_entry():
     assert same_objects(session.transcript()["experiments"], entries)
 
 
+def test_packets_share_the_header_dicts_and_the_last_verdict_until_the_next_test():
+    session = Session(env_by_id("hooke"), "L3", experiments_quota=10, test_quota=3)
+    shared = ("problem_description", "controllable_variables", "observable_variable",
+              "last_oracle_result")
+    packets = [session.observation_packet()]
+    for test in (False, True, False, False, True, False):
+        session.submit_turn(turn([{"var_1": 1.0, "var_2": 2.0}], flag=test,
+                                 formula="var_1 * var_2"))
+        packets.append(session.observation_packet())
+    assert [p.last_oracle_result for p in packets[:2]] == [None, None]
+    verdicts = {id(p.last_oracle_result) for p in packets[2:]}
+    assert len(verdicts) == 2
+    for before, after in zip(packets, packets[1:]):
+        tested = after.quota["test_quota"] < before.quota["test_quota"]
+        for name in shared:
+            same = getattr(before, name) is getattr(after, name)
+            assert same == (name != "last_oracle_result" or not tested), name
+    assert packets[-1].last_oracle_result == {"formula": "var_1 * var_2",
+                                              "equivalent": False}
+
+
+def test_a_mutated_wire_document_leaves_the_next_packet_unchanged():
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=10, test_quota=2)
+    session.submit_turn(turn([{"F": 1.0, "k": 10.0}], flag=True, formula="F * k"))
+    wire = session.observation_packet().to_wire()
+    want = json.loads(json.dumps(wire))
+    for value in wire.values():
+        if isinstance(value, dict):
+            value.clear()
+    wire["historical_experiments"][0].clear()
+    assert session.observation_packet().to_wire() == want
+
+
 def test_each_hypothesis_is_walked_for_its_variables_once(monkeypatch):
     # The session's unknown-identifier check and the oracle's unbound-
     # variable check each walked a tested hypothesis for its free
