@@ -182,9 +182,6 @@ def _validate(env: EnvironmentSpec) -> EnvironmentSpec:
         raise ValidationError(f"{env.env_id}: duplicate variable names")
     if not env.inputs:
         raise ValidationError(f"{env.env_id}: at least one input required")
-    for v in env.inputs + env.dummies:
-        if v.domain is None:
-            raise ValidationError(f"{env.env_id}: variable {v.name!r} needs a domain")
     input_names = set(env.input_names())
     loose = free_variables(env.equation) - input_names
     if loose:

@@ -2,8 +2,8 @@
 forms, and a seeded numeric equivalence oracle.
 
 The surface syntax is a small Python-expression subset (`F / k`,
-`2*np.pi*np.sqrt(l/g)`); `np.pi` is the only named constant and `np.`
-is the only namespace prefix a function may carry.
+`2*np.pi*np.sqrt(l/g)`); `np.pi`, the only named constant, parses to the
+number π, and `np.` is the only namespace prefix a function may carry.
 
 `evaluate` compiles each formula once into one generated Python function,
 whose source holds no text from the formula, caches it, and matches a
@@ -33,9 +33,9 @@ HUGE = 1e300
 
 _IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 
-# Function spellings accepted in formulas.  Bare names and np.-prefixed
-# names map to the same ops; any other prefix is rejected.
-_FUNCTION_OPS = {name: name for name in UNARY_OPS if name != "neg"}
+# Function names accepted in formulas, bare or np.-prefixed; any other
+# prefix is rejected.
+_FUNCTIONS = UNARY_OPS - {"neg"}
 
 
 class ExpressionError(ValueError):
@@ -84,15 +84,6 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class NamedConstant:
-    name: str
-
-    def __post_init__(self):
-        if self.name not in ("pi",):
-            raise ValueError(f"unknown named constant {self.name!r}")
-
-
-@dataclass(frozen=True)
 class Variable:
     name: str
 
@@ -122,7 +113,7 @@ class Binary:
             raise ValueError(f"unknown binary op {self.op!r}")
 
 
-Expression = Union[Constant, NamedConstant, Variable, Unary, Binary]
+Expression = Union[Constant, Variable, Unary, Binary]
 
 
 @dataclass(frozen=True)
@@ -334,14 +325,14 @@ class _Parser:
         if name == "np.pi":
             if calls:
                 raise UnknownFunctionError(name, self.offset(tok))
-            return _leaf(NamedConstant, "name", "pi")
+            return _leaf(Constant, "value", math.pi)
         if "." in name:
             prefix, _, fn = name.partition(".")
-            if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
+            if prefix != "np" or fn not in _FUNCTIONS or not calls:
                 raise UnknownFunctionError(name, self.offset(tok))
             return self._call(fn)
         if calls:
-            if name not in _FUNCTION_OPS:
+            if name not in _FUNCTIONS:
                 raise UnknownFunctionError(name, self.offset(tok))
             return self._call(name)
         return _leaf(Variable, "name", name)
@@ -353,7 +344,7 @@ class _Parser:
         self.depth -= 1
         if self.kind != "close":
             raise self.fail(("')'",))
-        built = _unary(_FUNCTION_OPS[fn], arg, height)
+        built = _unary(fn, arg, height)
         self.advance()
         return built
 
@@ -379,23 +370,24 @@ _BINARY_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
 
 
 def render(expr: Expression) -> str:
-    """Render to parseable text; parse(render(e)) reproduces e exactly."""
+    """Render to parseable text, π as `np.pi`; parse(render(e)) reproduces e
+    exactly."""
     if isinstance(expr, Constant):
+        if expr.value == math.pi:
+            return "np.pi"
         # Negative constants are parenthesized so the text re-parses as a
         # constant rather than a unary minus.
         if math.copysign(1.0, expr.value) < 0:
             return f"(-{expr.value * -1!r})"
         return repr(expr.value)
-    if isinstance(expr, NamedConstant):
-        return "np.pi"
     if isinstance(expr, Variable):
         return expr.name
     if isinstance(expr, Unary):
         if expr.op == "neg":
             inner = render(expr.operand)
-            # A literal directly after the minus would fold back into a
+            # A number directly after the minus would fold back into a
             # negative constant; parens keep the neg node explicit.
-            if isinstance(expr.operand, Constant):
+            if isinstance(expr.operand, Constant) and inner != "np.pi":
                 inner = f"({inner})"
             return f"(-{inner})"
         return f"np.{expr.op}({render(expr.operand)})"
@@ -584,11 +576,10 @@ def _compile(expr: Expression):
                 name = bind(e.name)
                 reads[e.name] = checked(f"float(b[{name}])", name)
             return reads[e.name]
-        if isinstance(e, (Constant, NamedConstant)):
-            value = math.pi if isinstance(e, NamedConstant) else e.value
-            if -HUGE <= value <= HUGE:
-                return constant(value)
-            name = bind(value)
+        if isinstance(e, Constant):
+            if -HUGE <= e.value <= HUGE:
+                return constant(e.value)
+            name = bind(e.value)
             lines.append(f"_checked({name}, 'constant')")
             return name
         operands = (e.operand,) if isinstance(e, Unary) else (e.left, e.right)
@@ -649,13 +640,11 @@ def evaluate(expr: Expression, bindings: Mapping[str, float]) -> EvalOutcome:
 def _sort_key(expr: Expression) -> tuple:
     if isinstance(expr, Constant):
         return (0, "", render(expr))
-    if isinstance(expr, NamedConstant):
-        return (1, expr.name, "")
     if isinstance(expr, Variable):
-        return (2, expr.name, "")
+        return (1, expr.name, "")
     if isinstance(expr, Unary):
-        return (3, expr.op, render(expr))
-    return (4, expr.op, render(expr))
+        return (2, expr.op, render(expr))
+    return (3, expr.op, render(expr))
 
 
 _TOTAL_UNARY = frozenset({
@@ -667,7 +656,7 @@ def _is_total(expr: Expression) -> bool:
     # True when no point of R^n can make the subtree raise a domain error
     # (overflow aside).  Used to decide whether a zero-coefficient term may
     # be dropped without erasing an error region.
-    if isinstance(expr, (Constant, NamedConstant, Variable)):
+    if isinstance(expr, (Constant, Variable)):
         return True
     if isinstance(expr, Unary):
         return expr.op in _TOTAL_UNARY and _is_total(expr.operand)
@@ -787,7 +776,7 @@ def canonicalize(expr: Expression) -> Expression:
     multiplication by a (-1) power, nested sums/products are flattened and
     sorted, constants fold, like terms merge.  Idempotent.
     """
-    if isinstance(expr, (Constant, NamedConstant, Variable)):
+    if isinstance(expr, (Constant, Variable)):
         return expr
     if isinstance(expr, Unary):
         child = canonicalize(expr.operand)
@@ -1029,8 +1018,6 @@ def _eval_columns(expr, columns, n, nodes):
     # also appended to nodes for evaluate_columns' HUGE test.
     if isinstance(expr, Constant):
         return _checked(expr.value, "constant"), None
-    if isinstance(expr, NamedConstant):
-        return math.pi, None
     if isinstance(expr, Variable):
         values, valid = columns[expr.name], None
     elif isinstance(expr, Unary):

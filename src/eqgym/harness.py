@@ -552,6 +552,13 @@ def execute(plan: RunPlan, out_dir: str | Path | None = None) -> RunRecord:
 # --------------------------------------------------------------------------
 # Reporting
 
+# The transcript fields the report reads without a default, with their
+# JSON types, and `solved`, which it reads when present.
+_REPORTED_FIELDS = {"env_id": str, "agent": str, "level": str,
+                    "experiments_used": int, "tests_used": int, "turn_count": int}
+_TYPE_NAMES = {str: "a string", int: "an integer", bool: "true or false"}
+
+
 def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
     """Read transcripts and environment snapshots back from a run log."""
     path = Path(run_dir)
@@ -577,11 +584,15 @@ def load_run(run_dir: str | Path) -> tuple[list[dict], list[EnvironmentSpec]]:
             raise ValueError(f"{log}:{number}: not a JSON object")
         kind = document.get("kind")
         if kind == "transcript":
-            # The report reads each of these fields without a default.
-            missing = [k for k in ("env_id", "agent", "level", "experiments_used",
-                                   "tests_used", "turn_count") if k not in document]
+            missing = [k for k in _REPORTED_FIELDS if k not in document]
             if missing:
                 raise ValueError(f"{log}:{number}: transcript lacks {', '.join(missing)}")
+            fields = [(k, document[k], t) for k, t in _REPORTED_FIELDS.items()]
+            fields.append(("solved", document.get("solved", False), bool))
+            for key, value, expected in fields:
+                if type(value) is not expected:  # exact, so that true is no integer
+                    raise ValueError(f"{log}:{number}: transcript field {key!r} "
+                                     f"must be {_TYPE_NAMES[expected]}")
             hypotheses = document.get("hypotheses", [])
             if not isinstance(hypotheses, list) or not all(
                     isinstance(h, dict) and isinstance(h.get("formula"), str) for h in hypotheses):

@@ -219,10 +219,12 @@ class Session:
     def submit_turn(self, turn) -> TurnOutcome:
         """Process one agent turn: experiments, hypothesis, optional test.
 
-        `turn` needs attributes next_experiments, test_hypothesis_flag and
-        current_hypothesis_formula.  Experiments consume quota whether the
-        outcome is a value or an invalid result; malformed proposals are
-        dropped with a notice and cost nothing.
+        `turn` may carry next_experiments (a list or tuple of proposals),
+        test_hypothesis_flag (a bool) and current_hypothesis_formula (a
+        string).  One that is absent or None counts as empty or false; a
+        mistyped one is skipped with a notice.  Experiments consume quota
+        whether the outcome is a value or an invalid result; malformed
+        proposals are dropped with a notice and cost nothing.
         """
         if self.status != ACTIVE:
             raise TerminalSession(f"session is {self.status}")
@@ -231,7 +233,11 @@ class Session:
         dropped = 0
         malformed = 0
 
-        proposals = list(turn.next_experiments or [])
+        proposals = getattr(turn, "next_experiments", None)
+        if not isinstance(proposals, (list, tuple)):
+            if proposals is not None:
+                notices.append("experiment proposals skipped: next_experiments must be a list")
+            proposals = ()
         for i, proposal in enumerate(proposals):
             if self.experiments_remaining <= 0:
                 dropped = len(proposals) - i
@@ -248,7 +254,13 @@ class Session:
             self._history.append(entry)
             executed.append(entry)
 
-        formula = (getattr(turn, "current_hypothesis_formula", "") or "").strip()
+        formula = getattr(turn, "current_hypothesis_formula", None)
+        if not isinstance(formula, str):
+            if formula is not None:
+                notices.append("hypothesis not usable: "
+                               "current_hypothesis_formula must be a string or null")
+            formula = ""
+        formula = formula.strip()
         hypothesis: HypothesisRecord | None = None
         parse_failure: str | None = None
         if formula:
@@ -258,7 +270,10 @@ class Session:
                 notices.append(f"hypothesis not usable: {parse_failure}")
 
         oracle: EquivalenceVerdict | None = None
-        if getattr(turn, "test_hypothesis_flag", False):
+        flag = getattr(turn, "test_hypothesis_flag", None)
+        if flag is not None and not isinstance(flag, bool):
+            notices.append("test skipped: test_hypothesis_flag must be true or false")
+        elif flag:
             if hypothesis is None:
                 notices.append("test skipped: no hypothesis submitted this turn")
             elif hypothesis.parsed is None:

@@ -11,14 +11,13 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 
 from eqgym.expr import (
-    _FUNCTION_OPS,
+    _FUNCTIONS,
     _MAX_DEPTH,
     Binary,
     Constant,
     DomainError,
     Expression,
     ExpressionSyntaxError,
-    NamedConstant,
     Unary,
     UnknownFunctionError,
     Value,
@@ -61,8 +60,6 @@ def transform_at(expr: Expression, index: int, fn) -> Expression:
 def _walk(expr: Expression, bindings) -> float:
     if isinstance(expr, Constant):
         return _checked(expr.value, "constant")
-    if isinstance(expr, NamedConstant):
-        return math.pi
     if isinstance(expr, Variable):
         try:
             v = float(bindings[expr.name])
@@ -286,14 +283,14 @@ class _Parser:
         if name == "np.pi":
             if calls:
                 raise UnknownFunctionError(name, tok.offset)
-            return NamedConstant("pi"), 1
+            return Constant(math.pi), 1
         if "." in name:
             prefix, _, fn = name.partition(".")
-            if prefix != "np" or fn not in _FUNCTION_OPS or not calls:
+            if prefix != "np" or fn not in _FUNCTIONS or not calls:
                 raise UnknownFunctionError(name, tok.offset)
             return self._call(fn)
         if calls:
-            if name not in _FUNCTION_OPS:
+            if name not in _FUNCTIONS:
                 raise UnknownFunctionError(name, tok.offset)
             return self._call(name)
         return Variable(name), 1
@@ -307,7 +304,7 @@ class _Parser:
         if not (closing.kind == "OP" and closing.text == ")"):
             raise self.fail(("')'",))
         self.advance()
-        return self._built(Unary(_FUNCTION_OPS[fn], arg), height + 1)
+        return self._built(Unary(fn, arg), height + 1)
 
 
 def reference_parse(text: str) -> Expression:
@@ -342,7 +339,7 @@ def random_expression(
             if tame:
                 return Constant(round(rng.uniform(-4.0, 4.0), 3))
             return Constant(round(rng.uniform(-1e6, 1e6), 3))
-        return NamedConstant("pi")
+        return Constant(math.pi)
     r = rng.random()
     if r < 0.3:
         ops = _TAME_UNARY if tame else _FULL_UNARY

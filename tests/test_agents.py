@@ -448,6 +448,66 @@ def test_subprocess_reply_with_a_too_long_number_is_retried(tmp_path):
     )
 
 
+_FLAG_PROBLEM = "test_hypothesis_flag must be true or false"
+# Replies that decode as JSON but are not turns: each is retried, with
+# parse_turn's message in the notice.  An HTTP reply is read from its first
+# `{`, so only the subprocess transport can decode a list.
+NOT_A_TURN = {
+    "subprocess-list": ("subprocess", "[]", "turn must be a JSON object"),
+    "subprocess-number-for-proposals": ("subprocess", '{"next_experiments": 3}',
+                                        "next_experiments must be a list; " + _FLAG_PROBLEM),
+    "http-number-for-proposals": ("http", '{"next_experiments": 3}',
+                                  "next_experiments must be a list; " + _FLAG_PROBLEM),
+    "http-number-for-formula": ("http", '{"next_experiments": [], "test_hypothesis_flag": false,'
+                                        ' "current_hypothesis_formula": 5}',
+                                "current_hypothesis_formula must be a string or null"),
+}
+
+
+@pytest.mark.parametrize("kind, reply, problem", NOT_A_TURN.values(), ids=NOT_A_TURN)
+def test_a_reply_that_is_not_a_turn_is_retried_with_its_problem(tmp_path, kind, reply, problem):
+    session = Session(ENVS["hooke"], "L1", seed=5)
+    if kind == "subprocess":
+        agent = SubprocessAgent(agent_script(tmp_path, textwrap.dedent(f"""\
+            if "error_notice" in doc:
+                print(json.dumps({{"next_experiments": [], "test_hypothesis_flag": False,
+                                  "current_hypothesis_formula": doc["error_notice"]}}))
+            else:
+                print({reply!r})
+            """)))
+        notice = "previous reply was not a valid turn: " + problem
+    else:
+        prompts = []
+
+        def transport(url, headers, body):
+            prompts.append(json.loads(body)["messages"][0]["content"])
+            notice = prompts[-1].partition("# Notice\n\n")[2].rstrip("\n")
+            return chat_reply(json.dumps({
+                "next_experiments": [], "test_hypothesis_flag": False,
+                "current_hypothesis_formula": notice}) if notice else reply)
+
+        agent = http_factory(transport).build(session)
+        notice = "Your previous reply was not a valid turn: " + problem
+    try:
+        turn = agent.act(session.observation_packet())
+    finally:
+        agent.close()
+    assert turn.current_hypothesis_formula == notice
+
+
+def test_subprocess_act_after_the_child_exited_names_its_exit_code(tmp_path):
+    path = tmp_path / "dead.py"
+    path.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
+    session = Session(ENVS["hooke"], "L1", seed=5)
+    agent = SubprocessAgent(f"{sys.executable} {path}")
+    try:
+        agent.process.wait()
+        with pytest.raises(TransportError, match="^agent process exited with code 3$"):
+            agent.act(session.observation_packet())
+    finally:
+        agent.close()
+
+
 def test_subprocess_death_is_transport_error(tmp_path):
     path = tmp_path / "dead.py"
     path.write_text("import sys; sys.exit(3)\n", encoding="utf-8")
@@ -620,6 +680,16 @@ def test_http_agent_bad_reply_shape_is_transport_error():
     session = Session(ENVS["hooke"], "L1", seed=5)
     agent = http_factory(transport).build(session)
     with pytest.raises(TransportError):
+        agent.act(session.observation_packet())
+
+
+def test_http_reply_content_that_is_not_text_is_a_transport_error():
+    def transport(url, headers, body):
+        return json.dumps({"choices": [{"message": {"content": {"next_experiments": []}}}]})
+
+    session = Session(ENVS["hooke"], "L1", seed=5)
+    agent = http_factory(transport).build(session)
+    with pytest.raises(TransportError, match="^endpoint reply content was not text$"):
         agent.act(session.observation_packet())
 
 

@@ -2,6 +2,7 @@ import json
 import math
 import random
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,6 +20,7 @@ from eqgym.environment import (
     load_spec,
     render_observation,
     run_experiment,
+    spec_to_dict,
 )
 from eqgym.expr import DomainError, Value, sample_assignments
 
@@ -90,6 +92,16 @@ MALFORMED = {
     "lower-bool": (_with_domain(lower=True), "variables[0]: field 'lower' must be int or float"),
     "upper-string": (_with_domain(upper="10"), "variables[0]: field 'upper' must be int or float"),
     "upper-huge-int": (_with_domain(upper=10**400), "variables[0]: int too large"),
+    "upper-infinity": (_with_domain(upper=json.loads("Infinity")),
+                       "variables[0]: domain bounds must be finite"),
+    "unknown-scale": (_with_domain(scale="cubic"), "variables[0]: unknown scale 'cubic'"),
+    "variable-not-an-object": ({"variables": ["m", *MINIMAL["variables"][1:]]},
+                               "variables[0]: must be an object"),
+    "output-domain-not-an-object": (
+        {"variables": [*MINIMAL["variables"][:2], {**MINIMAL["variables"][2], "domain": 5}]},
+        "variables[2]: domain must be an object"),
+    "difficulty_group-number": ({"difficulty_group": 3}, "difficulty_group must be a string"),
+    "metadata-list": ({"metadata": []}, "metadata must be an object"),
 }
 
 
@@ -137,6 +149,10 @@ def test_validation_errors():
         _spec(validity=["q < h"])
     with pytest.raises(ValidationError):  # validity not a comparison
         _spec(validity=["h + m"])
+    with pytest.raises(ValidationError, match="bad environment id 'a b'"):
+        _spec(id="a b")
+    with pytest.raises(ValidationError, match="demo: at least one input required"):
+        _spec(variables=MINIMAL["variables"][2:], equation="9.8")
 
 
 def test_run_experiment_value():
@@ -172,6 +188,25 @@ def test_validity_violation_names_constraint():
     assert isinstance(out, DomainError)
     assert out.reason == "validity"
     assert out.detail == "constraint m < h violated"
+
+
+def test_a_constraint_undefined_at_the_point_rejects_it_as_validity():
+    from eqgym.session import Session
+    from gen import reference_run_experiment
+
+    data = spec_to_dict(next(e for e in bundled_environments() if e.env_id == "env_409"))
+    env = load_spec({**data, "validity": ["np.log(r) < a"]})
+    at_zero = {"epsilon_0": 1.0, "E_0": 1.0, "a": 2.0, "r": 0.0}
+    want = DomainError("validity", "constraint np.log(r) < a violated")
+    assert run_experiment(env, at_zero) == reference_run_experiment(env, at_zero) == want
+    inside = {**at_zero, "r": 1.0}
+    value = reference_run_experiment(env, inside)
+    assert isinstance(value, Value) and run_experiment(env, inside) == value
+    session = Session(env, "L1", experiments_quota=5)
+    out = session.submit_turn(SimpleNamespace(next_experiments=[at_zero, inside]))
+    assert out.executed == [{**at_zero, "invalid": f"validity: {want.detail}"},
+                            {**inside, "sigma": value.value}]
+    assert session.experiments_remaining == 3
 
 
 def test_open_bounds_respected():

@@ -146,6 +146,15 @@ def test_unique_hypotheses_collapse():
     assert unique_hypotheses(formulas) == 4
 
 
+
+@pytest.mark.parametrize("formulas", [
+    ["np.pi*x", "3.141592653589793*x"],
+    ["2*np.pi*x", "6.283185307179586*x"],
+])
+def test_pi_counts_once_however_it_is_written(formulas):
+    assert unique_hypotheses(formulas) == 1
+
+
 def test_like_terms_whose_coefficients_overflow_are_counted():
     # 1e308 + 1e308 overflows, so the two terms stay apart in the
     # canonical form instead of merging into an infinite coefficient.

@@ -101,8 +101,8 @@ def test_unfoldable_constants_stay_symbolic():
     assert out.reason == "negative-sqrt"
 
 
-def test_named_constant_not_folded():
-    assert canon("np.pi * 2 * x") == canon("x * 2 * np.pi")
+def test_pi_folds_with_the_other_constant_factors():
+    assert canon("np.pi * 2 * x") == canon("x * 2 * np.pi") == canon("6.283185307179586 * x")
 
 
 def _points(rng, names, n=12):

@@ -9,7 +9,6 @@ from eqgym.expr import (
     Constant,
     ExpressionError,
     ExpressionSyntaxError,
-    NamedConstant,
     Unary,
     UnknownFunctionError,
     Variable,
@@ -28,14 +27,14 @@ def test_full_formula_shape():
     got = parse("2*np.pi*np.sqrt(l/g)")
     want = Binary(
         "mul",
-        Binary("mul", Constant(2.0), NamedConstant("pi")),
+        Binary("mul", Constant(2.0), Constant(math.pi)),
         Unary("sqrt", Binary("div", Variable("l"), Variable("g"))),
     )
     assert got == want
 
 
 def test_named_constant_and_function_spellings():
-    assert parse("np.pi") == NamedConstant("pi")
+    assert parse("np.pi") == Constant(math.pi)
     assert parse("np.sqrt(x)") == parse("sqrt(x)") == Unary("sqrt", Variable("x"))
     assert parse("np.abs(x)") == Unary("abs", Variable("x"))
 
@@ -193,15 +192,26 @@ def test_node_validation():
         Unary("foo", Constant(1.0))
     with pytest.raises(ValueError):
         Binary("mod", Constant(1.0), Constant(2.0))
-    with pytest.raises(ValueError):
-        NamedConstant("e")
 
 
 def test_render_golden():
     assert render(parse("F / k")) == "(F / k)"
     assert render(Constant(-3.0)) == "(-3.0)"
     assert render(Unary("neg", Constant(3.0))) == "(-(3.0))"
-    assert render(NamedConstant("pi")) == "np.pi"
+
+
+@pytest.mark.parametrize("text, rendered", [
+    ("np.pi", "np.pi"),
+    ("-np.pi", "(-np.pi)"),
+    ("np.pi**-np.pi", "(np.pi ** (-np.pi))"),
+    ("2*np.pi*np.sqrt(l/g)", "((2.0 * np.pi) * np.sqrt((l / g)))"),
+    # π spelled as a number is the same constant, so it renders by name.
+    ("3.141592653589793", "np.pi"),
+    ("-3.141592653589793", "(-3.141592653589793)"),
+])
+def test_pi_renders_by_name(text, rendered):
+    assert render(parse(text)) == rendered
+    assert parse(rendered) == parse(text)
 
 
 def test_round_trip_seeded():

@@ -77,6 +77,7 @@ def test_build_plan_rejects_unknown_level():
     {"experiments_quota": -1},
     {"replicates": 0},
     {"parallelism": 0},
+    {"environments": [ENVS["hooke"], ENVS["hooke"]]},
 ])
 def test_build_plan_rejects(kwargs):
     base = {
@@ -324,6 +325,60 @@ def test_run_session_mixed_type_proposal_keys_are_a_notice():
     assert [text for _, text in transcript["notices"]] == [
         "experiment proposal skipped: bad variable set: missing ['k'], unknown [1, 'x']",
     ] * 2
+
+
+class CrashOnClose:
+    name = "crash_close"
+
+    def build(self, session):
+        return self
+
+    def act(self, packet):
+        from eqgym.agents import AgentTurn
+        return AgentTurn([{"F": 1.0, "k": 10.0}], True, "F / k")
+
+    def close(self):
+        raise RuntimeError("close failed")
+
+
+def test_an_agent_whose_close_raises_still_returns_its_transcript():
+    transcript = run_session(ENVS["hooke"], "L1", CrashOnClose(), seed=7)
+    assert transcript["kind"] == "transcript"
+    assert transcript["status"] == "solved" and transcript["failure_reason"] is None
+
+
+class MistypedTurn:
+    """An in-process agent whose one turn proposes a number and submits a
+    formula as bytes."""
+
+    name = "mistyped"
+
+    def build(self, session):
+        return self
+
+    def act(self, packet):
+        from eqgym.agents import AgentTurn
+        return AgentTurn(5, True, b"F / k")
+
+    def close(self):
+        pass
+
+
+def test_a_mistyped_in_process_turn_is_logged_as_notices(tmp_path):
+    plan = small_plan(environments=[ENVS["hooke"]], levels=["L1"],
+                      agents=[MistypedTurn()], parallelism=1)
+    record = execute(plan, out_dir=tmp_path / "run")
+    assert record.errors == []
+    log = (tmp_path / "run" / "run.jsonl").read_text().splitlines()
+    [line] = [json.loads(line) for line in log if '"kind": "transcript"' in line]
+    assert line == record.transcripts[0]
+    assert line["status"] == "exhausted"
+    assert (line["experiments_used"], line["tests_used"], line["hypotheses"]) == (0, 0, [])
+    assert [text for _, text in line["notices"]] == [
+        "experiment proposals skipped: next_experiments must be a list",
+        "hypothesis not usable: current_hypothesis_formula must be a string or null",
+        "test skipped: no hypothesis submitted this turn",
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -1088,6 +1143,20 @@ MALFORMED_LOG_LINES = {
         {k: v for k, v in HOOKE_TRANSCRIPT.items() if k != key}, f"transcript lacks {key}")
        for key in ("env_id", "agent", "level", "experiments_used", "tests_used",
                    "turn_count")},
+    # ... with its JSON type: a mistyped one would crash the report or, for
+    # solved, count as solved.
+    **{f"transcript-with-{key}-{name}": (
+        {**HOOKE_TRANSCRIPT, key: value}, f"transcript field {key!r} must be {kind}")
+       for key, name, value, kind in (
+           ("agent", "a-number", 1, "a string"),
+           ("env_id", "a-list", ["hooke"], "a string"),
+           ("level", "a-list", ["L1"], "a string"),
+           ("experiments_used", "a-string", "3", "an integer"),
+           ("tests_used", "a-float", 1.0, "an integer"),
+           ("turn_count", "a-bool", True, "an integer"),
+           ("solved", "a-string", "false", "true or false"),
+           ("solved", "null", None, "true or false"),
+       )},
     # ... and the formula of each of its hypotheses.
     **{f"transcript-with-{name}": (
         {**HOOKE_TRANSCRIPT, "hypotheses": hypotheses},

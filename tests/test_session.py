@@ -333,6 +333,49 @@ def test_overbudget_proposals_dropped_with_notice():
     assert session.experiments_remaining == 0
 
 
+_SKIPPED_PROPOSALS = "experiment proposals skipped: next_experiments must be a list"
+_MISTYPED_FORMULA = ("hypothesis not usable: "
+                     "current_hypothesis_formula must be a string or null")
+
+
+_NO_HYPOTHESIS = "test skipped: no hypothesis submitted this turn"
+_MISTYPED_FLAG = "test skipped: test_hypothesis_flag must be true or false"
+
+
+@pytest.mark.parametrize("experiments, flag, formula, notices", [
+    (5, True, "", [_SKIPPED_PROPOSALS, _NO_HYPOTHESIS]),
+    ({"F": 1.0, "k": 10.0}, True, None, [_SKIPPED_PROPOSALS, _NO_HYPOTHESIS]),
+    ("F=1, k=10", True, None, [_SKIPPED_PROPOSALS, _NO_HYPOTHESIS]),
+    (None, True, 5, [_MISTYPED_FORMULA, _NO_HYPOTHESIS]),
+    ([], True, b"F / k", [_MISTYPED_FORMULA, _NO_HYPOTHESIS]),
+    (5, True, ["F / k"], [_SKIPPED_PROPOSALS, _MISTYPED_FORMULA, _NO_HYPOTHESIS]),
+    ([], "false", "F * k", [_MISTYPED_FLAG]),
+    ([], 1, "F * k", [_MISTYPED_FLAG]),
+], ids=["int-proposals", "dict-proposals", "text-proposals", "int-formula",
+        "bytes-formula", "both", "text-flag", "int-flag"])
+def test_a_mistyped_turn_is_a_notice_and_costs_nothing(experiments, flag, formula, notices):
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    out = session.submit_turn(SimpleNamespace(
+        next_experiments=experiments, test_hypothesis_flag=flag,
+        current_hypothesis_formula=formula))
+    assert out.notices == notices
+    assert out.executed == [] and out.malformed == 0 and out.oracle is None
+    assert out.hypothesis_recorded == (formula == "F * k") and out.parse_failure is None
+    assert (session.experiments_remaining, session.tests_remaining) == (5, 2)
+    assert session.status == "active"
+    json.dumps(session.transcript())
+
+
+def test_a_turn_may_leave_out_or_null_its_proposals_and_formula():
+    session = Session(env_by_id("hooke"), "L1", experiments_quota=5, test_quota=2)
+    for empty in (SimpleNamespace(), SimpleNamespace(next_experiments=None,
+                                                     current_hypothesis_formula=None)):
+        out = session.submit_turn(empty)
+        assert out.notices == [] and out.executed == [] and not out.hypothesis_recorded
+    out = session.submit_turn(SimpleNamespace(next_experiments=({"F": 1.0, "k": 10.0},)))
+    assert out.executed == [{"F": 1.0, "k": 10.0, "x": 0.1}]
+
+
 def test_hypothesis_parse_failure_not_fatal():
     session = Session(env_by_id("hooke"), "L1")
     out = session.submit_turn(turn(formula="F / / k"))
@@ -590,6 +633,10 @@ def test_packet_wire_round_trip():
         {"problem_description": "x", "controllable_variables": {},
          "observable_variable": {}, "historical_experiments": {},
          "quota": {"experiments_quota": 1, "test_quota": 0}},
+        {"problem_description": "x", "controllable_variables": {},
+         "observable_variable": {}, "historical_experiments": [],
+         "quota": {"experiments_quota": 1, "test_quota": 0},
+         "last_oracle_result": [True]},
     ],
 )
 def test_packet_wire_errors(broken):
@@ -604,6 +651,12 @@ def test_new_session_level_labels():
         Session(env_by_id("hooke"), "L5")
     direct = Session(env_by_id("hooke"), LEVELS["L2"])
     assert direct.mask == LEVELS["L2"]
+
+
+@pytest.mark.parametrize("quotas", [{"experiments_quota": -1}, {"test_quota": -1}])
+def test_new_session_rejects_a_negative_quota(quotas):
+    with pytest.raises(ValueError, match="quotas must be >= 0"):
+        Session(env_by_id("hooke"), "L1", **quotas)
 
 
 def test_proposal_binding_a_dummy_is_skipped_free():
