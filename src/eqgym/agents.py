@@ -235,10 +235,10 @@ class PowerLawAgent:
 
 
 def _rationalized(c: float) -> str:
-    """Render c as a small rational or the square root of one when that is
-    accurate to 1e-6 relative; otherwise as a bare float literal."""
-    if c <= 0:
-        return repr(c)
+    """Render |c|, signed as c, as a small rational or the square root of one
+    when that is accurate to 1e-6 relative; otherwise as a bare float literal."""
+    if c < 0:
+        return "-" + _rationalized(-c)
     frac = Fraction(c).limit_denominator(64)
     if frac > 0 and abs(float(frac) - c) <= 1e-6 * c:
         if frac.denominator == 1:

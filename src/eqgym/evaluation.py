@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .environment import EnvironmentSpec
+from .environment import LEVELS, EnvironmentSpec
 from .expr import (
     DomainError,
     EquivalenceVerdict,
@@ -163,7 +163,6 @@ class GroupStats:
     level: str
     n_runs: int
     n_solved: int
-    success_rate: float
     # Means over the solved subset only; None when nothing was solved.
     mean_experiments: float | None
     mean_tests: float | None
@@ -179,7 +178,6 @@ class DifficultyStats:
     group: str
     n_runs: int
     n_solved: int
-    success_rate: float
 
 
 @dataclass
@@ -189,42 +187,29 @@ class AggregateReport:
     solved_by_level: dict[str, dict[str, list[str]]]  # agent -> env -> levels
 
     def to_tsv(self) -> str:
-        headers = [
-            "Model", "Mode", "Acc (%)", "Experiments", "Tests", "Turns",
-            "(U)Hyps", "Total Hyps",
-        ]
-        lines = ["\t".join(headers)]
-        for g in self.groups:
-            lines.append("\t".join([
-                g.agent,
-                g.level,
-                f"{100.0 * g.success_rate:.1f}",
-                _cell(g.mean_experiments),
-                _cell(g.mean_tests),
-                _cell(g.mean_turns),
-                _cell(g.mean_unique_hypotheses),
-                _cell(g.mean_total_hypotheses),
-            ]))
-        return "\n".join(lines) + "\n"
+        return _tsv(
+            ["Model", "Mode", "Acc (%)", "Experiments", "Tests", "Turns",
+             "(U)Hyps", "Total Hyps"],
+            ([g.agent, g.level, _acc(g), _cell(g.mean_experiments),
+              _cell(g.mean_tests), _cell(g.mean_turns),
+              _cell(g.mean_unique_hypotheses), _cell(g.mean_total_hypotheses)]
+             for g in self.groups),
+        )
 
     def difficulty_tsv(self) -> str:
-        lines = ["\t".join(["Model", "Mode", "Vars", "Runs", "Solved", "Acc (%)"])]
-        for d in self.by_difficulty:
-            lines.append("\t".join([
-                d.agent, d.level, d.group, str(d.n_runs), str(d.n_solved),
-                f"{100.0 * d.success_rate:.1f}",
-            ]))
-        return "\n".join(lines) + "\n"
+        return _tsv(
+            ["Model", "Mode", "Vars", "Runs", "Solved", "Acc (%)"],
+            ([d.agent, d.level, d.group, str(d.n_runs), str(d.n_solved), _acc(d)]
+             for d in self.by_difficulty),
+        )
 
     def overlap_tsv(self) -> str:
-        lines = ["\t".join(["Model", "Environment", "Solved at"])]
-        for agent in sorted(self.solved_by_level):
-            for env_id in sorted(self.solved_by_level[agent]):
-                levels = self.solved_by_level[agent][env_id]
-                lines.append("\t".join([
-                    agent, env_id, ",".join(levels) if levels else "-",
-                ]))
-        return "\n".join(lines) + "\n"
+        return _tsv(
+            ["Model", "Environment", "Solved at"],
+            ([agent, env_id, ",".join(levels) or "-"]
+             for agent, envs in sorted(self.solved_by_level.items())
+             for env_id, levels in sorted(envs.items())),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -232,6 +217,14 @@ class AggregateReport:
             "by_difficulty": [vars(d) for d in self.by_difficulty],
             "solved_by_level": self.solved_by_level,
         }
+
+
+def _tsv(header: list[str], rows: Iterable[list[str]]) -> str:
+    return "".join("\t".join(row) + "\n" for row in (header, *rows))
+
+
+def _acc(stats: GroupStats | DifficultyStats) -> str:
+    return f"{100.0 * (stats.n_solved / stats.n_runs):.1f}"
 
 
 def _cell(value: float | None) -> str:
@@ -242,7 +235,7 @@ def _mean(values: list[float]) -> float | None:
     return sum(values) / len(values) if values else None
 
 
-LEVEL_ORDER = {"L1": 0, "L2": 1, "L3": 2, "L4": 3, "custom": 4}
+LEVEL_ORDER = {label: i for i, label in enumerate([*LEVELS, "custom"])}
 
 
 def _level_key(label: str) -> tuple[int, str]:
@@ -268,18 +261,23 @@ def aggregate(
 
     groups: list[GroupStats] = []
     by_difficulty: list[DifficultyStats] = []
-    solved_by_level: dict[str, dict[str, list[str]]] = {}
-
+    # Agents in the order the log first names them.  An agent's groups come
+    # in level order, so each environment's solved-at list is built in order.
+    solved_by_level: dict[str, dict[str, list[str]]] = {agent: {} for agent, _ in by_group}
     for (agent, level), runs in sorted(
         by_group.items(), key=lambda kv: (kv[0][0], _level_key(kv[0][1]))
     ):
         solved_runs = [t for t in runs if t.get("solved")]
+        agent_envs = solved_by_level[agent]
+        for t in runs:
+            levels = agent_envs.setdefault(t["env_id"], [])
+            if t.get("solved") and level not in levels:
+                levels.append(level)
         groups.append(GroupStats(
             agent=agent,
             level=level,
             n_runs=len(runs),
             n_solved=len(solved_runs),
-            success_rate=len(solved_runs) / len(runs),
             mean_experiments=_mean([t["experiments_used"] for t in solved_runs]),
             mean_tests=_mean([t["tests_used"] for t in solved_runs]),
             mean_turns=_mean([t["turn_count"] for t in solved_runs]),
@@ -302,17 +300,6 @@ def aggregate(
                     continue
                 bucket = per[group]
                 won = sum(1 for t in bucket if t.get("solved"))
-                by_difficulty.append(DifficultyStats(
-                    agent, level, group, len(bucket), won, won / len(bucket)
-                ))
-
-    for t in transcripts:
-        agent_envs = solved_by_level.setdefault(t["agent"], {})
-        levels = agent_envs.setdefault(t["env_id"], [])
-        if t.get("solved") and t["level"] not in levels:
-            levels.append(t["level"])
-    for agent_envs in solved_by_level.values():
-        for levels in agent_envs.values():
-            levels.sort(key=_level_key)
+                by_difficulty.append(DifficultyStats(agent, level, group, len(bucket), won))
 
     return AggregateReport(groups, by_difficulty, solved_by_level)

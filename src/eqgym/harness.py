@@ -738,7 +738,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="execute an environments x levels x agents grid")
     run_p.add_argument("--envs", default=None,
                        help="environment file or directory (default: bundled set)")
-    run_p.add_argument("--levels", default="L1,L2,L3,L4",
+    run_p.add_argument("--levels", default=",".join(LEVELS),
                        help="comma-separated prior levels")
     run_p.add_argument("--agent", dest="agents", action="append", required=True,
                        help='agent spec: scripted:<name>, subprocess:"<cmd>", '

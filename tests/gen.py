@@ -1,6 +1,7 @@
 """Seeded expression generators, meaning-preserving rewrites, and the
 reference tree-walk evaluator, parser, domain sampler and experiment
-runner for tests; also seeded flat JSON objects for the packet encoder."""
+runner for tests; also seeded flat JSON objects for the packet encoder
+and seeded environments for fuzzing the platform."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from eqgym.expr import (
     Value,
     Variable,
     evaluate,
+    render,
     _apply_binary,
     _apply_unary,
     _checked,
@@ -607,3 +609,49 @@ def random_flat_object(rng: random.Random, size: int = 5) -> dict:
             rng.choice(FLAT_SCALARS) if rng.random() < 0.6 else random_text(rng)
         )
     return obj
+
+
+# -- environments ----------------------------------------------------------------
+# Seeded environment documents for fuzzing the platform: 1-5 inputs over
+# log, linear (some negative) and zero-based open domains, a dummy in
+# about 30% of them, an `a < b` constraint in about 30%, and a law scaled
+# by 1e-25 to 1e25.  The names end in "_g" so that no word of a
+# transcript can match one.
+
+_STEMS = ("mass", "rho", "theta", "flux", "volt", "drag", "span", "load", "temp")
+
+
+def _random_domain(rng: random.Random) -> dict:
+    kind = rng.choice(("log", "linear", "zero-open"))
+    if kind == "log":
+        lower = 10.0 ** rng.uniform(-3.0, 1.0)
+        return {"lower": lower, "upper": lower * 10.0 ** rng.uniform(1.0, 4.0), "scale": "log"}
+    if kind == "linear":
+        lower = round(rng.uniform(-5.0, 5.0), 3)
+        return {"lower": lower, "upper": lower + round(rng.uniform(0.5, 10.0), 3),
+                "scale": "linear"}
+    return {"lower": 0.0, "upper": round(rng.uniform(1.0, 100.0), 3), "lower_closed": False}
+
+
+def random_environment_document(rng: random.Random, env_id: str) -> dict:
+    """A random environment in the JSON form `load_spec` reads."""
+    constrained = rng.random() < 0.3
+    names = [f"{stem}_g" for stem in rng.sample(_STEMS, rng.randint(1 + constrained, 5))]
+    variables = [{"name": name, "description": f"The input {name} (arbitrary units).",
+                  "role": "input", "domain": _random_domain(rng)} for name in names]
+    variables.append({"name": "yield_g", "description": "The output yield_g.",
+                      "role": "output"})
+    if rng.random() < 0.3:
+        variables.append({"name": "spare_g", "description": "An input the law ignores.",
+                          "role": "dummy", "domain": _random_domain(rng)})
+    scale = 10.0 ** rng.uniform(-25.0, 25.0)
+    law = Binary("mul", Constant(scale), random_expression(rng, tuple(names), depth=3))
+    document = {
+        "id": env_id,
+        "context": f"How yield_g depends on {', '.join(names)}.",
+        "variables": variables,
+        "equation": render(law),
+    }
+    if constrained:
+        document["validity"] = [f"{names[0]} < {names[1]}"]
+    return document

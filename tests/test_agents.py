@@ -11,6 +11,7 @@ import threading
 import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import gen
 import pytest
@@ -37,7 +38,7 @@ from eqgym.agents import (
     parse_turn,
     serialize_turn,
 )
-from eqgym.environment import bundled_environments
+from eqgym.environment import bundled_environments, load_spec, spec_to_dict
 from eqgym.expr import VariableDomain
 from eqgym.harness import build_plan, execute, run_session
 from eqgym.session import ACTIVE, SOLVED, ObservationPacket, Session
@@ -217,6 +218,8 @@ def test_extract_rejects_hostile_replies_in_linear_time(text, error):
 @pytest.mark.parametrize("value,expected", [
     (2.0, "2"),
     (0.5, "1/2"),
+    (-0.5, "-1/2"),
+    (-0.9999999999999999, "-1"),
     (math.sqrt(2.0), "np.sqrt(2)"),
     (4.0 * math.sqrt(13.0 / 23.0), "np.sqrt(208/23)"),
 ])
@@ -311,6 +314,41 @@ def test_power_law_design_is_one_factor_at_a_time():
 def test_power_law_degenerate_domain():
     with pytest.raises(DegenerateDesign):
         _positive_grid("w", VariableDomain(-5.0, -1.0))
+
+
+def test_power_law_rounds_a_negative_constant():
+    # -F/k fits to -0.9999999999999999 * F * k**-1; the rounded law keeps
+    # the sign and solves it at the first test.
+    data = spec_to_dict(ENVS["hooke"])
+    data["equation"] = "-F / k"
+    env = load_spec(data)
+    for level, formula in (("L1", "-1 * F * k**-1"), ("L4", "-1 * var_1 * var_2**-1")):
+        session = drive(env, PowerLawAgentFactory(), mask=level, seed=1)
+        assert session.status == SOLVED, level
+        assert [h.formula for h in session.hypotheses] == [formula]
+
+
+def _fit_turn(history):
+    """The power-law agent's fitting turn on a hooke history."""
+    agent = PowerLawAgentFactory().build(Session(ENVS["hooke"], "L1", seed=0))
+    agent.act(SimpleNamespace(quota={"experiments_quota": 5}))
+    return agent.act(SimpleNamespace(quota={"test_quota": 5}, historical_experiments=history))
+
+
+def test_power_law_fit_skips_invalid_and_non_positive_rows():
+    law = [{"F": f, "k": k, "x": f / k} for f, k in ((1.0, 1.0), (4.0, 1.0), (1.0, 4.0))]
+    junk = [
+        {"F": 2.0, "k": 2.0, "x": 1e6, "invalid": "out-of-domain: F"},
+        {"F": 0.0, "k": 2.0, "x": 3.0},
+        {"F": -2.0, "k": 2.0, "x": 3.0},
+        {"F": 2.0, "k": "2", "x": 3.0},
+        {"F": 2.0, "k": 2.0},
+    ]
+    turn = _fit_turn(junk[:3] + law + junk[3:])
+    assert turn.test_hypothesis_flag and turn.current_hypothesis_formula == "F * k**-1"
+    # Two usable rows cannot fit a constant and two exponents.
+    turn = _fit_turn(junk + law[:2])
+    assert turn == AgentTurn([], False, "")
 
 
 def test_power_law_respects_test_quota():

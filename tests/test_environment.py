@@ -22,7 +22,7 @@ from eqgym.environment import (
     run_experiment,
     spec_to_dict,
 )
-from eqgym.expr import DomainError, Value, sample_assignments
+from eqgym.expr import DomainError, Value, VariableDomain, sample_assignments
 
 MINIMAL = {
     "id": "demo",
@@ -103,6 +103,16 @@ MALFORMED = {
     "difficulty_group-number": ({"difficulty_group": 3}, "difficulty_group must be a string"),
     "metadata-list": ({"metadata": []}, "metadata must be an object"),
 }
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"scale_hint": "cubic"}, "unknown scale hint 'cubic'"),
+    ({"lower": 0.0, "scale_hint": "log"}, "log scale requires a positive lower bound"),
+    ({"lower": -1.0, "scale_hint": "log"}, "log scale requires a positive lower bound"),
+])
+def test_variable_domain_rejects_a_scale_it_cannot_sample(fields, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        VariableDomain(**{"lower": 1.0, "upper": 10.0, **fields})
 
 
 @pytest.mark.parametrize("mutation, where", MALFORMED.values(), ids=MALFORMED)

@@ -210,8 +210,7 @@ def test_aggregate_means_cover_solved_only():
     ]
     report = aggregate(transcripts)
     (row,) = report.groups
-    assert row.n_runs == 3 and row.n_solved == 2
-    assert row.success_rate == pytest.approx(2 / 3)
+    assert (row.n_runs, row.n_solved) == (3, 2)
     assert row.mean_experiments == pytest.approx(6.0)
     assert row.mean_tests == pytest.approx(1.0)
     assert row.mean_turns == pytest.approx(3.0)
@@ -228,7 +227,7 @@ def test_aggregate_no_solved_runs_gives_null_means():
     transcripts = [make_transcript("A", "L4", "hooke", False, 10, 5, 8, ["F*k"])]
     report = aggregate(transcripts)
     (row,) = report.groups
-    assert row.success_rate == 0.0
+    assert (row.n_runs, row.n_solved) == (1, 0)
     assert row.mean_experiments is None
     assert "-" in report.to_tsv()
 
@@ -265,8 +264,8 @@ def test_by_difficulty_breakdown():
     ]
     report = aggregate(transcripts, environments=envs)
     rows = {(d.group): d for d in report.by_difficulty}
-    assert rows["1-3"].success_rate == 1.0
-    assert rows["4-6"].success_rate == 0.0
+    assert (rows["1-3"].n_runs, rows["1-3"].n_solved) == (1, 1)
+    assert (rows["4-6"].n_runs, rows["4-6"].n_solved) == (1, 0)
     assert rows["10+"].n_runs == 1
     assert "Vars" in report.difficulty_tsv()
 

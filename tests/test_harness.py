@@ -1229,6 +1229,14 @@ def test_spec_round_trips_through_dict():
         assert again == env
 
 
+def test_environment_metadata_survives_the_run_log(tmp_path):
+    metadata = {"source": "Feynman I.12.1", "tags": ["mechanics"], "rank": 3}
+    env = load_spec({**spec_to_dict(ENVS["hooke"]), "metadata": metadata})
+    execute(build_plan([env], ["L1"], [RandomAgentFactory()], parallelism=1), tmp_path)
+    _, (logged,) = load_run(tmp_path)
+    assert logged.metadata == metadata and logged == env
+
+
 # --------------------------------------------------------------------------
 # CLI
 
@@ -1264,6 +1272,15 @@ def test_cli_rejects_unknown_level(tmp_path, capsys):
     ])
     assert code == 2
     assert "L5" in capsys.readouterr().err
+
+
+def test_cli_run_rejects_a_missing_environment_path(tmp_path, capsys):
+    missing = tmp_path / "nope.json"
+    code = main(["run", "--envs", str(missing), "--agent", "scripted:random",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: no environment file or directory at {missing}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_validate(tmp_path, capsys):
